@@ -213,8 +213,3 @@ def boundary_complex(X: LabeledComplex) -> LabeledComplex:
     faces = [f for f in X.faces if not f.is_interior]
     covers = [(lo, hi) for lo, hi in X.covers if hi != interior_id]
     return LabeledComplex(X.n, faces, covers, False)
-
-
-def hasse(X: LabeledComplex) -> list[tuple[int, int]]:
-    """All cover pairs (lower id, upper id) of the face poset."""
-    return list(X.covers)

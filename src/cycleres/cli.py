@@ -16,7 +16,7 @@ from .betti import MethodDisagreement, betti_closed_form, betti_table
 from .homology import Field
 from .morse import count_formulas, critical_cells, d2_matching, greedy_extend, validate
 from .polygon import count_by_support, count_trees
-from .resolution import minimality_witnesses, verify_supports_resolution
+from .resolution import DEFAULT_MAX_N, minimality_witnesses, verify_supports_resolution
 from .tableaux import (
     associahedron_shape,
     conjugate,
@@ -118,16 +118,10 @@ def _cmd_verify_resolution(args) -> int:
     witnesses = minimality_witnesses(build(args.n))
     minimal = not witnesses
     if args.json:
-        _emit(
-            {
-                "n": report.n,
-                "field": report.field.value,
-                "checked": report.checked,
-                "failures": [list(s) for s in report.failures],
-                "minimal": minimal,
-                "witnesses": [_witness_json(f, g) for f, g in witnesses],
-            }
-        )
+        payload = report.to_json()
+        payload["minimal"] = minimal
+        payload["witnesses"] = [_witness_json(f, g) for f, g in witnesses]
+        _emit(payload)
     else:
         acyclic = report.checked - report.empty_restrictions - len(report.failures)
         print(f"n={report.n} field={report.field.value}")
@@ -369,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
             "acyclicity of all 2^n restrictions plus cone and minimality checks")
     p.add_argument("n", type=int)
     p.add_argument("--field", choices=["gf2", "rational"], default="gf2")
-    p.add_argument("--max-n", type=int, default=8,
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                    help="raise the n cap (2^n homology computations)")
     p.add_argument("--threads", type=int, default=1,
                    help="parallel workers for the sigma sweep (processes)")

@@ -262,7 +262,6 @@ def chain_complex(X: LabeledComplex, field: Field | str) -> ChainComplex:
                 sorted(X.facets(), key=lambda f: f.diagonals)
             )
         }
-        interior = next(f for f in X.faces if f.is_interior)
         bases[top] = bases.get(top, []) + [None]
         columns.setdefault(top, []).append(_interior_column(X, facet_pos))
     return ChainComplex(field, bases, columns)

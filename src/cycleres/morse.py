@@ -13,6 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from typing import Callable, Iterable
 
 from .associahedron import LabeledComplex, f_formula
 from .polygon import Diagonal, SupportClass, count_by_class
@@ -90,34 +91,31 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
     return MorseMatching(tuple(pairs))
 
 
-def _successors(lower: int, match_at_lower: dict[int, int], below: dict[int, list[int]]):
-    """Pair-graph step: alternate up through the match, down to another lower."""
-    upper = match_at_lower[lower]
-    for b in below.get(upper, ()):
-        if b != lower and b in match_at_lower:
-            yield b
-
-
-def _find_pair_cycle(
-    match_at_lower: dict[int, int], below: dict[int, list[int]]
+def _find_cycle(
+    roots: Iterable[int], successors: Callable[[int], Iterable[int]]
 ) -> list[int] | None:
-    """Directed cycle through matched pairs, as lower face ids, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(match_at_lower, WHITE)
-    for root in sorted(match_at_lower):
-        if color[root] != WHITE:
+    """A directed cycle reachable from roots, as a closed path of vertices, or None.
+
+    Iterative three-colour DFS.  Vertices are coloured only when reached, so
+    a search costs what it explores, not the size of the whole graph.
+    """
+    GRAY, BLACK = 1, 2
+    color: dict[int, int] = {}
+    for root in roots:
+        if root in color:
             continue
         color[root] = GRAY
         path = [root]
-        iters = [_successors(root, match_at_lower, below)]
+        iters = [iter(successors(root))]
         while iters:
             for b in iters[-1]:
-                if color[b] == GRAY:
+                c = color.get(b)
+                if c == GRAY:
                     return path[path.index(b):] + [b]
-                if color[b] == WHITE:
+                if c is None:
                     color[b] = GRAY
                     path.append(b)
-                    iters.append(_successors(b, match_at_lower, below))
+                    iters.append(iter(successors(b)))
                     break
             else:
                 color[path.pop()] = BLACK
@@ -125,38 +123,14 @@ def _find_pair_cycle(
     return None
 
 
-def _find_hasse_cycle(
-    pairs: tuple[tuple[int, int], ...], X: LabeledComplex
-) -> list[int] | None:
-    """Cycle detection on the fully oriented Hasse diagram (small-n oracle)."""
-    matched = set(pairs)
-    adj: dict[int, list[int]] = defaultdict(list)
-    for lo, hi in X.covers:
-        if (lo, hi) in matched:
-            adj[lo].append(hi)
-        else:
-            adj[hi].append(lo)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {f.id: WHITE for f in X.faces}
-    for face in X.faces:
-        if color[face.id] != WHITE:
-            continue
-        color[face.id] = GRAY
-        path = [face.id]
-        iters = [iter(adj.get(face.id, ()))]
-        while iters:
-            for b in iters[-1]:
-                if color[b] == GRAY:
-                    return path[path.index(b):] + [b]
-                if color[b] == WHITE:
-                    color[b] = GRAY
-                    path.append(b)
-                    iters.append(iter(adj.get(b, ())))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                iters.pop()
-    return None
+def _pair_successors(match_at_lower: dict[int, int], below: dict[int, list[int]]):
+    """Pair-graph step: up through a lower face's match, down to another matched lower."""
+
+    def step(lower: int):
+        upper = match_at_lower[lower]
+        return (b for b in below.get(upper, ()) if b != lower and b in match_at_lower)
+
+    return step
 
 
 def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -> MatchingReport:
@@ -179,11 +153,20 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     for fid, k in sorted(use.items()):
         if k > 1:
             problems.append(f"face {fid} appears in {k} pairs")
-    cycle = _find_pair_cycle(dict(m.pairs), X.covers_below())
+    match_at_lower = dict(m.pairs)
+    step = _pair_successors(match_at_lower, X.covers_below())
+    cycle = _find_cycle(sorted(match_at_lower), step)
     if cycle is not None:
         problems.append("directed cycle through lower faces " + "->".join(map(str, cycle)))
     if full_graph:
-        cycle = _find_hasse_cycle(m.pairs, X)
+        matched = set(m.pairs)
+        adj: dict[int, list[int]] = defaultdict(list)
+        for lo, hi in X.covers:
+            if (lo, hi) in matched:
+                adj[lo].append(hi)
+            else:
+                adj[hi].append(lo)
+        cycle = _find_cycle((f.id for f in X.faces), lambda v: adj.get(v, ()))
         if cycle is not None:
             problems.append("oriented Hasse cycle " + "->".join(map(str, cycle)))
     return MatchingReport(not problems, tuple(problems))
@@ -239,29 +222,17 @@ def n7_extension_counts() -> dict[str, int]:
     return counts
 
 
-def _creates_cycle(new_lower: int, match_at_lower: dict[int, int], below) -> bool:
-    """Whether the pair just keyed at new_lower closes a directed cycle."""
-    stack = list(_successors(new_lower, match_at_lower, below))
-    seen = set()
-    while stack:
-        b = stack.pop()
-        if b == new_lower:
-            return True
-        if b in seen:
-            continue
-        seen.add(b)
-        stack.extend(_successors(b, match_at_lower, below))
-    return False
-
-
 def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     """Add equal-label cover pairs in canonical order while staying acyclic.
 
     One pass suffices: matched faces never free up, and a rejected pair's
     cycle only gains edges later, so no skipped candidate becomes addable.
+    m must be acyclic (d2_matching(X) and the empty matching are): then any
+    cycle a new pair closes passes through its lower face, so the cycle
+    search after each addition starts from that face alone.
     """
-    below = X.covers_below()
     match_at_lower = dict(m.pairs)
+    step = _pair_successors(match_at_lower, X.covers_below())
     matched = set(m.matched_ids)
     for lo, hi in X.covers:
         if lo in matched or hi in matched:
@@ -269,7 +240,7 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
         if X.face(lo).label != X.face(hi).label:
             continue
         match_at_lower[lo] = hi
-        if _creates_cycle(lo, match_at_lower, below):
+        if _find_cycle([lo], step) is not None:
             del match_at_lower[lo]
             continue
         matched.add(lo)

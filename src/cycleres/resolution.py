@@ -10,7 +10,9 @@ faces, which explains the vanishing independently of the rank computation.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from .associahedron import Face, LabeledComplex, build, restrict
@@ -127,34 +129,27 @@ def _cone_agrees(n: int, sigma: tuple[int, ...], restriction: LabeledComplex) ->
     return all(apex in face.diagonals for face in restriction.maximal_faces())
 
 
-def _sweep(
-    n: int,
-    field: Field,
-    masks: range,
-    progress: ProgressFn | None = None,
-    total: int | None = None,
-) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
-    X = build(n)
-    empties = 0
-    failures: list[tuple[int, ...]] = []
-    mismatches: list[tuple[int, ...]] = []
-    for done, mask in enumerate(masks, start=1):
-        sigma = _mask_to_sigma(mask, n)
-        R = restrict(X, sigma)
-        if R.is_empty:
-            empties += 1
-        elif not is_acyclic(R, field):
-            failures.append(sigma)
-        if 2 <= len(sigma) < n and not _cone_agrees(n, sigma, R):
-            mismatches.append(sigma)
-        if progress is not None:
-            progress(done, total if total is not None else len(masks))
-    return empties, failures, mismatches
+def _check_mask(X: LabeledComplex, field: Field, mask: int) -> tuple[bool, bool, bool]:
+    """(empty, acyclic, cone agrees) for the restriction of X to the vertex bitmask."""
+    sigma = _mask_to_sigma(mask, X.n)
+    R = restrict(X, sigma)
+    empty = R.is_empty
+    acyclic = empty or is_acyclic(R, field)
+    cone_ok = not 2 <= len(sigma) < X.n or _cone_agrees(X.n, sigma, R)
+    return empty, acyclic, cone_ok
 
 
-def _sweep_span(args: tuple[int, str, int, int]):
-    n, field_name, lo, hi = args
-    return _sweep(n, Field.coerce(field_name), range(lo, hi))
+# In a pool worker: _check_mask bound to that process's own A_n.
+_worker_check: Callable[[int], tuple[bool, bool, bool]] | None = None
+
+
+def _init_worker(n: int, field: Field) -> None:
+    global _worker_check
+    _worker_check = partial(_check_mask, build(n), field)
+
+
+def _check_in_worker(mask: int) -> tuple[bool, bool, bool]:
+    return _worker_check(mask)
 
 
 def verify_supports_resolution(
@@ -169,27 +164,35 @@ def verify_supports_resolution(
 
     Also verifies, for every sigma with 2 <= |sigma| < n, that the cone apex
     agrees with the homology verdict.  Reports failing sigmas rather than
-    raising; raises ValueError only on out-of-range n.
+    raising; raises ValueError only on out-of-range n or workers < 1.
     """
     field = Field.coerce(field)
     if not 4 <= n <= max_n:
         raise ValueError(f"need 4 <= n <= {max_n} (2^n homology checks), got n={n}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     total = 1 << n
-    if workers <= 1:
-        empties, failures, mismatches = _sweep(n, field, range(total), progress, total)
-    else:
-        chunk = -(-total // workers)
-        spans = [
-            (n, field.value, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)
-        ]
-        empties, failures, mismatches = 0, [], []
-        done = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for span, (e, fs, ms) in zip(spans, pool.map(_sweep_span, spans)):
-                empties += e
-                failures.extend(fs)
-                mismatches.extend(ms)
-                done += span[3] - span[2]
-                if progress is not None:
-                    progress(done, total)
+    empties = 0
+    failures: list[tuple[int, ...]] = []
+    mismatches: list[tuple[int, ...]] = []
+    with ExitStack() as stack:
+        if workers == 1:
+            verdicts = map(partial(_check_mask, build(n), field), range(total))
+        else:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(n, field))
+            )
+            # Small chunks handed out as workers free up: cost grows with |sigma|,
+            # so equal contiguous spans would leave the last worker the most work.
+            chunk = max(1, total // (16 * workers))
+            verdicts = pool.map(_check_in_worker, range(total), chunksize=chunk)
+        for mask, (empty, acyclic, cone_ok) in enumerate(verdicts):
+            if empty:
+                empties += 1
+            elif not acyclic:
+                failures.append(_mask_to_sigma(mask, n))
+            if not cone_ok:
+                mismatches.append(_mask_to_sigma(mask, n))
+            if progress is not None:
+                progress(mask + 1, total)
     return ResolutionReport(n, field, total, empties, tuple(failures), tuple(mismatches))

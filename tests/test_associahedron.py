@@ -5,7 +5,6 @@ from cycleres.associahedron import (
     boundary_complex,
     build,
     f_formula,
-    hasse,
     restrict,
 )
 from cycleres.polygon import Diagonal, support
@@ -140,7 +139,7 @@ def test_boundary_complex_drops_interior():
 
 def test_hasse_pairs_sorted_and_consistent():
     X = build(5)
-    pairs = hasse(X)
+    pairs = list(X.covers)
     assert pairs == sorted(pairs)
     for lo, hi in pairs:
         assert X.face(hi).dim == X.face(lo).dim + 1

@@ -164,11 +164,17 @@ def test_verify_resolution_pentagon_human(capsys):
 def test_verify_resolution_hexagon_json_keys(capsys):
     code, data, _ = run_json(capsys, ["verify-resolution", "6", "--json"])
     assert code == 0
-    assert set(data) == {"n", "field", "checked", "failures", "minimal", "witnesses"}
+    assert set(data) == {
+        "n", "field", "checked", "empty", "failures", "cone_mismatches", "ok",
+        "minimal", "witnesses",
+    }
     assert data["n"] == 6
     assert data["field"] == "gf2"
     assert data["checked"] == 64
+    assert data["empty"] == 13
     assert data["failures"] == []
+    assert data["cone_mismatches"] == []
+    assert data["ok"] is True
     assert data["minimal"] is False
     assert len(data["witnesses"]) == 12
 
@@ -314,6 +320,7 @@ def test_complex_pentagon_human(capsys):
         ["syt", "--family", "assoc"],
         ["syt", "--shape", "2,3"],
         ["syt", "--shape", "2,x"],
+        ["verify-resolution", "5", "--threads", "0"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -75,6 +75,8 @@ def test_sweep_range_rejection():
         verify_supports_resolution(9)
     with pytest.raises(ValueError):
         verify_supports_resolution(9, max_n=8)
+    with pytest.raises(ValueError):
+        verify_supports_resolution(4, workers=0)
 
 
 def test_sweep_parallel_matches_serial():
@@ -84,10 +86,12 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_progress_callback_monotone():
-    seen = []
-    verify_supports_resolution(4, progress=lambda done, total: seen.append((done, total)))
-    assert seen[-1] == (16, 16)
-    assert [d for d, _ in seen] == sorted({d for d, _ in seen})
+    for workers in (1, 2):
+        seen = []
+        verify_supports_resolution(
+            4, workers=workers, progress=lambda done, total: seen.append((done, total))
+        )
+        assert seen == [(done, 16) for done in range(1, 17)], workers
 
 
 def test_report_json():
