@@ -50,25 +50,20 @@ class Face:
 
 
 class LabeledComplex:
-    """Face list plus Hasse cover relations, immutable after construction.
+    """A face list and what it determines, immutable after construction.
 
     Faces are stored in canonical order (by dimension, then
     lexicographically by dissection; the interior cell last) and ids
-    equal list positions.  ``covers`` holds every pair (F, G) with F a
-    facet of G, including (triangulation, interior) pairs.
+    equal list positions.  The constructor derives ``covers``, every
+    pair (F, G) with F a facet of G, sorted: each simplicial face covers
+    its dissection minus one diagonal, and the interior cell covers
+    every triangulation.  A missing subface raises ValueError, so every
+    complex is closed under subfaces.
     """
 
-    def __init__(
-        self,
-        n: int,
-        faces: list[Face],
-        covers: list[tuple[int, int]],
-        has_interior: bool,
-    ) -> None:
+    def __init__(self, n: int, faces: list[Face]) -> None:
         self.n = n
         self.faces = faces
-        self.covers = covers
-        self.has_interior = has_interior
         self._by_diagonals: dict[tuple[Diagonal, ...], int] = {
             f.diagonals: f.id for f in faces if f.diagonals is not None
         }
@@ -76,6 +71,21 @@ class LabeledComplex:
         for f in faces:
             by_dim[f.dim].append(f)
         self._by_dim = dict(by_dim)
+        covers: list[tuple[int, int]] = []
+        for f in faces:
+            ds = f.diagonals
+            if ds is None:
+                covers.extend((g.id, f.id) for g in self.facets())
+                continue
+            for i in range(len(ds)):
+                sub = ds[:i] + ds[i + 1 :]
+                lo = self._by_diagonals.get(sub)
+                if lo is None:
+                    missing = ",".join(str(d) for d in sub)
+                    raise ValueError(f"face {f} lacks its subface {{{missing}}}")
+                covers.append((lo, f.id))
+        covers.sort()
+        self.covers = covers
         self._below: dict[int, list[int]] | None = None
 
     def __len__(self) -> int:
@@ -84,6 +94,10 @@ class LabeledComplex:
     @property
     def dim(self) -> int:
         return max(f.dim for f in self.faces)
+
+    @property
+    def has_interior(self) -> bool:
+        return self.faces[-1].is_interior
 
     @property
     def is_empty(self) -> bool:
@@ -119,18 +133,9 @@ class LabeledComplex:
         lowers = {lo for lo, _ in self.covers}
         return [f for f in self.faces if f.id not in lowers and f.dim >= 0]
 
-    def size_counts(self) -> list[int]:
-        """Counts of simplicial faces indexed by dissection size 0..max."""
-        top = max((f.dim for f in self.faces if not f.is_interior), default=-1)
-        out = [0] * (top + 2)
-        for f in self.faces:
-            if not f.is_interior:
-                out[len(f.diagonals)] += 1
-        return out
-
     def f_vector(self) -> list[int]:
-        """(f(n,0), ..., f(n,n-3), 1): dissection-size counts plus the interior."""
-        return self.size_counts() + ([1] if self.has_interior else [])
+        """Face counts by dimension from -1 up; (f(n,0), ..., f(n,n-3), 1) for A_n."""
+        return [len(fs) for _, fs in sorted(self._by_dim.items())]
 
     def to_json(self) -> dict:
         return {
@@ -165,51 +170,27 @@ def build(n: int) -> LabeledComplex:
     """
     diags = all_diagonals(n)
     dissections = sorted(iter_noncrossing(diags, max_size=n - 3), key=lambda ds: (len(ds), ds))
-    faces: list[Face] = []
-    index: dict[tuple[Diagonal, ...], int] = {}
-    for ds in dissections:
-        fid = len(faces)
-        faces.append(Face(fid, len(ds) - 1, ds, support(ds)))
-        index[ds] = fid
-    interior_id = len(faces)
-    faces.append(Face(interior_id, n - 3, None, frozenset(range(1, n + 1))))
-    covers: list[tuple[int, int]] = []
-    for f in faces[:interior_id]:
-        ds = f.diagonals
-        for i in range(len(ds)):
-            covers.append((index[ds[:i] + ds[i + 1 :]], f.id))
-    for ds, fid in index.items():
-        if len(ds) == n - 3:
-            covers.append((fid, interior_id))
-    covers.sort()
-    return LabeledComplex(n, faces, covers, True)
+    faces = [Face(i, len(ds) - 1, ds, support(ds)) for i, ds in enumerate(dissections)]
+    faces.append(Face(len(faces), n - 3, None, frozenset(range(1, n + 1))))
+    return LabeledComplex(n, faces)
 
 
 def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
-    """Subcomplex of faces whose label is contained in sigma.
+    """Subcomplex of faces whose label is contained in sigma, renumbered.
 
-    The interior cell survives only when sigma is all of 1..n.  The
-    result is closed under taking subfaces because labels are monotone,
-    so the cover list is the induced one.
+    Labels are monotone, so the kept faces are closed under subfaces and
+    the covers the constructor derives are those of X among them.  The
+    interior cell survives only when sigma is all of 1..n.
     """
     sig = frozenset(sigma)
     if not sig <= frozenset(range(1, X.n + 1)):
         raise ValueError(f"sigma {sorted(sig)} is not a subset of 1..{X.n}")
     keep = [f for f in X.faces if f.label <= sig]
-    idmap = {f.id: i for i, f in enumerate(keep)}
-    faces = [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(keep)]
-    covers = [
-        (idmap[lo], idmap[hi]) for lo, hi in X.covers if lo in idmap and hi in idmap
-    ]
-    has_interior = X.has_interior and len(sig) == X.n
-    return LabeledComplex(X.n, faces, covers, has_interior)
+    return LabeledComplex(X.n, [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(keep)])
 
 
 def boundary_complex(X: LabeledComplex) -> LabeledComplex:
     """The complex with the interior cell removed (the simplicial sphere)."""
     if not X.has_interior:
         return X
-    interior_id = next(f.id for f in X.faces if f.is_interior)
-    faces = [f for f in X.faces if not f.is_interior]
-    covers = [(lo, hi) for lo, hi in X.covers if hi != interior_id]
-    return LabeledComplex(X.n, faces, covers, False)
+    return LabeledComplex(X.n, X.faces[:-1])

@@ -18,7 +18,7 @@ from .homology import Field, simplicial_reduced_betti
 
 METHODS = ("hochster", "closed", "recursion")
 
-DEFAULT_HOCHSTER_LIMIT = 16
+HOCHSTER_LIMIT = 16
 
 
 class MethodDisagreement(Exception):
@@ -83,7 +83,7 @@ def _cyclic_runs(mask: int, n: int) -> int:
     return (mask & ~predecessor).bit_count()
 
 
-def hochster_betti(n: int, *, limit: int = DEFAULT_HOCHSTER_LIMIT) -> BettiTable:
+def hochster_betti(n: int) -> BettiTable:
     """Betti table from the subset sweep over induced subgraphs of the cycle.
 
     For a proper nonempty vertex subset W the induced graph is a disjoint
@@ -93,8 +93,8 @@ def hochster_betti(n: int, *, limit: int = DEFAULT_HOCHSTER_LIMIT) -> BettiTable
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the subset-sweep limit {limit}")
+    if n > HOCHSTER_LIMIT:
+        raise ValueError(f"n={n} exceeds the subset-sweep limit {HOCHSTER_LIMIT}")
     entries: dict[tuple[int, int], int] = {}
     full = (1 << n) - 1
     for mask in range(full + 1):
@@ -173,19 +173,17 @@ def _table_from_function(n: int, fn) -> BettiTable:
     return BettiTable(n, entries)
 
 
-def betti_table(
-    n: int, method: str = "all", *, limit: int = DEFAULT_HOCHSTER_LIMIT
-) -> BettiTable:
+def betti_table(n: int, method: str = "all") -> BettiTable:
     """Full Betti table by the chosen method ('hochster', 'closed',
     'recursion', or 'all' to compute every one and insist they agree)."""
     if method == "hochster":
-        return hochster_betti(n, limit=limit)
+        return hochster_betti(n)
     if method == "closed":
         return _table_from_function(n, betti_closed_form)
     if method == "recursion":
         return _table_from_function(n, betti_recursion)
     if method == "all":
-        tables = compare_methods(n, limit=limit)
+        tables = compare_methods(n)
         cells: dict[tuple[int, int], dict[str, int]] = {}
         keys = {k for t in tables.values() for k in t.entries}
         for key in sorted(keys):
@@ -198,8 +196,6 @@ def betti_table(
     raise ValueError(f"unknown method {method!r}; use one of {METHODS + ('all',)}")
 
 
-def compare_methods(
-    n: int, *, limit: int = DEFAULT_HOCHSTER_LIMIT
-) -> dict[str, BettiTable]:
+def compare_methods(n: int) -> dict[str, BettiTable]:
     """The table as computed by each method, keyed by method name."""
-    return {name: betti_table(n, name, limit=limit) for name in METHODS}
+    return {name: betti_table(n, name) for name in METHODS}

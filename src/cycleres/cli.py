@@ -411,10 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MethodDisagreement as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (MethodDisagreement, RuntimeError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:

@@ -205,65 +205,61 @@ def _simplex_columns(
     return columns
 
 
-def _interior_column(X: LabeledComplex, facet_pos: dict[int, int]) -> Column:
+def _interior_column(facets: list[tuple]) -> Column:
     """Coherently signed boundary of the interior cell over the facets.
 
-    Signs are propagated across the flip graph: every ridge (a facet
-    minus one diagonal) lies in exactly two triangulations and their
-    induced coefficients must cancel.  Failure of either property is an
-    internal consistency error.
+    ``facets`` are the triangulations in basis order; signs are keyed by
+    position there.  Signs are propagated across the flip graph: every
+    ridge (a facet minus one diagonal) lies in exactly two triangulations
+    and their induced coefficients must cancel.  Failure of either
+    property is an internal consistency error.
     """
-    facets = X.facets()
     ridge_map: dict[tuple, list[tuple[int, int]]] = {}
-    for f in facets:
-        ds = f.diagonals
+    for pos, ds in enumerate(facets):
         for i in range(len(ds)):
             ridge = ds[:i] + ds[i + 1 :]
-            ridge_map.setdefault(ridge, []).append((f.id, -1 if i % 2 else 1))
-    for ridge, owners in ridge_map.items():
+            ridge_map.setdefault(ridge, []).append((pos, -1 if i % 2 else 1))
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in facets]
+    for owners in ridge_map.values():
         if len(owners) != 2:
             raise RuntimeError(
                 f"ridge shared by {len(owners)} facets; expected exactly 2"
             )
-    sign: dict[int, int] = {facets[0].id: 1}
-    queue = [facets[0].id]
-    adjacent: dict[int, list[tuple[int, int, int]]] = {f.id: [] for f in facets}
-    for (f1, s1), (f2, s2) in ridge_map.values():
+        (f1, s1), (f2, s2) = owners
         adjacent[f1].append((f2, s1, s2))
         adjacent[f2].append((f1, s2, s1))
+    sign = [0] * len(facets)
+    sign[0] = 1
+    queue = [0]
     while queue:
-        fid = queue.pop()
-        for other, s_here, s_there in adjacent[fid]:
-            forced = -sign[fid] * s_here * s_there
-            if other not in sign:
+        pos = queue.pop()
+        for other, s_here, s_there in adjacent[pos]:
+            forced = -sign[pos] * s_here * s_there
+            if not sign[other]:
                 sign[other] = forced
                 queue.append(other)
             elif sign[other] != forced:
                 raise RuntimeError("orientation propagation over the flip graph failed")
-    if len(sign) != len(facets):
+    if not all(sign):
         raise RuntimeError("flip graph is not connected")
-    return [(facet_pos[f.id], sign[f.id]) for f in facets]
+    return list(enumerate(sign))
 
 
 def chain_complex(X: LabeledComplex, field: Field | str) -> ChainComplex:
-    """Augmented chain complex of a labeled complex, interior cell included."""
+    """Augmented chain complex of a labeled complex, interior cell included.
+
+    Bases follow the complex's canonical face order.
+    """
     field = Field.coerce(field)
     cells_by_dim: dict[int, list[tuple]] = {}
-    simplicial = [f for f in X.faces if not f.is_interior]
-    for f in sorted(simplicial, key=lambda f: (f.dim, f.diagonals)):
-        cells_by_dim.setdefault(f.dim, []).append(f.diagonals)
+    for f in X.faces:
+        if not f.is_interior:
+            cells_by_dim.setdefault(f.dim, []).append(f.diagonals)
     columns = _simplex_columns(cells_by_dim)
     bases: dict[int, list] = dict(cells_by_dim)
     if X.has_interior:
-        top = X.n - 3
-        facet_pos = {
-            f.id: i
-            for i, f in enumerate(
-                sorted(X.facets(), key=lambda f: f.diagonals)
-            )
-        }
-        bases[top] = bases.get(top, []) + [None]
-        columns.setdefault(top, []).append(_interior_column(X, facet_pos))
+        bases[X.n - 3] = [None]
+        columns[X.n - 3] = [_interior_column(cells_by_dim[X.n - 4])]
     return ChainComplex(field, bases, columns)
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from cycleres.associahedron import (
     Face,
+    LabeledComplex,
     boundary_complex,
     build,
     f_formula,
@@ -28,7 +29,6 @@ def test_f_formula_range_checks():
 def test_build_matches_formula():
     for n in range(4, 10):
         X = build(n)
-        assert X.size_counts() == [f_formula(n, d) for d in range(n - 2)]
         assert X.f_vector() == [f_formula(n, d) for d in range(n - 2)] + [1]
 
 
@@ -116,6 +116,34 @@ def test_restrict_empty_and_full():
     assert full.has_interior
     with pytest.raises(ValueError):
         restrict(X, {1, 9})
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_restrict_derives_covers_interior_and_f_vector(n):
+    X = build(n)
+    full = frozenset(range(1, n + 1))
+    for mask in range(1 << n):
+        sigma = frozenset(v for v in full if mask >> (v - 1) & 1)
+        R = restrict(X, sigma)
+        kept = [f for f in X.faces if f.label <= sigma]
+        idmap = {f.id: i for i, f in enumerate(kept)}
+        expected = [
+            (idmap[lo], idmap[hi]) for lo, hi in X.covers if lo in idmap and hi in idmap
+        ]
+        assert R.covers == expected
+        assert R.has_interior == (sigma == full)
+        sizes = [0] * (max(len(f.diagonals) for f in kept if not f.is_interior) + 1)
+        for f in kept:
+            if not f.is_interior:
+                sizes[len(f.diagonals)] += 1
+        assert R.f_vector() == sizes + [1 for f in kept if f.is_interior]
+
+
+def test_unclosed_face_list_rejected():
+    faces = [f for f in build(5).faces if f.diagonals != (Diagonal(1, 3),)]
+    faces = [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(faces)]
+    with pytest.raises(ValueError, match=r"lacks its subface \{1-3\}"):
+        LabeledComplex(5, faces)
 
 
 def test_restrict_is_closed_under_subfaces():

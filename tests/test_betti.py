@@ -103,7 +103,6 @@ def test_hochster_limit():
         hochster_betti(17)
     with pytest.raises(ValueError):
         hochster_betti(3)
-    hochster_betti(17, limit=17)
 
 
 def test_hochster_against_generic_homology():

@@ -321,6 +321,12 @@ def test_complex_pentagon_human(capsys):
         ["syt", "--shape", "2,3"],
         ["syt", "--shape", "2,x"],
         ["verify-resolution", "5", "--threads", "0"],
+        ["betti", "3"],
+        ["minimality", "3"],
+        ["morse", "3"],
+        ["involution", "5", "0"],
+        ["dissections", "6", "4"],
+        ["complex", "3"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
