@@ -2,14 +2,16 @@
 
 Chain complexes are augmented: the empty face sits in dimension -1 and
 every vertex maps onto it, so acyclicity means contractible-like, not
-just connected.  All arithmetic is exact: bitmask elimination over
-GF(2), integer elimination with gcd reduction over the rationals.  No
-floating point, no modular shortcuts.
+just connected.  All arithmetic is exact.  Both rank kernels take one
+boundary column at a time and reduce it against pivot rows keyed by
+their largest index: bitmask rows over GF(2), and over the rationals
+sparse ``{index: value}`` rows with fraction-free integer updates and
+division by the content.  No floating point, no modular shortcuts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from enum import Enum
 from math import gcd
 
@@ -49,49 +51,44 @@ def rank_gf2(rows: Iterable[int]) -> int:
     return rank
 
 
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by exact elimination.
+def rank_int(columns: list[Column]) -> int:
+    """Rank over the rationals of an integer matrix given by sparse columns.
 
-    Gaussian elimination with integer cross-multiplication; every updated
-    row is divided by its content so entries stay small on the sparse
-    incidence matrices seen here.  Exact for any integer input.
+    Each column is a list of ``(row index, coefficient)`` pairs, as in
+    ``ChainComplex.columns``.  Like ``rank_gf2``, each column becomes a
+    ``{index: value}`` row that is reduced against the stored pivot rows,
+    keyed by their leading (largest) index, until it vanishes or becomes
+    a new pivot.  With leading value v in the row r and p in the pivot,
+    a ±1 pivot is subtracted ``v·p`` times; any other pivot turns r into
+    ``p·r − v·pivot``, which is then divided by its content.  Exact for
+    any integer input.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    row_at = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row_at, len(work)):
-            if work[i][col]:
-                if pivot is None or abs(work[i][col]) < abs(work[pivot][col]):
-                    pivot = i
-        if pivot is None:
-            continue
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        prow = work[row_at]
-        p = prow[col]
-        for i in range(row_at + 1, len(work)):
-            v = work[i][col]
-            if not v:
-                continue
-            row = work[i]
-            new = [p * row[j] - v * prow[j] for j in range(col, ncols)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [x // g for x in new]
-            work[i] = [0] * col + new
-        rank += 1
-        row_at += 1
-        if row_at == len(work):
-            break
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        row = {i: c for i, c in col if c}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            p, v = pivot[lead], row[lead]
+            unit = p == 1 or p == -1
+            if unit:
+                v *= p
+            else:
+                row = {i: p * x for i, x in row.items()}
+            for i, x in pivot.items():
+                y = row.get(i, 0) - v * x
+                if y:
+                    row[i] = y
+                else:
+                    del row[i]
+            if not unit:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {i: x // g for i, x in row.items()}
+    return len(pivots)
 
 
 class ChainComplex:
@@ -120,35 +117,19 @@ class ChainComplex:
     def top_dim(self) -> int:
         return self.dims[-1]
 
-    def matrix(self, k: int) -> list[list[int]]:
-        """Dense boundary matrix C_k -> C_{k-1}: rows index (k-1)-cells."""
-        lower = len(self.bases.get(k - 1, []))
-        dense = [[0] * len(self.columns.get(k, [])) for _ in range(lower)]
-        for j, col in enumerate(self.columns.get(k, [])):
-            for i, c in col:
-                dense[i][j] = c % 2 if self.field is Field.GF2 else c
-        return dense
-
     def rank(self, k: int) -> int:
         """Rank of the boundary map out of dimension k."""
         if k not in self.columns:
             return 0
         if k not in self._ranks:
             cols = self.columns[k]
-            lower = len(self.bases[k - 1])
             if self.field is Field.GF2:
                 rows = [
                     sum(1 << i for i, c in col if c % 2) for col in cols
                 ]
                 self._ranks[k] = rank_gf2(rows)
             else:
-                dense = []
-                for col in cols:
-                    row = [0] * lower
-                    for i, c in col:
-                        row[i] = c
-                    dense.append(row)
-                self._ranks[k] = rank_int(dense)
+                self._ranks[k] = rank_int(cols)
         return self._ranks[k]
 
     def reduced_betti(self) -> list[int]:

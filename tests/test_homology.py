@@ -38,6 +38,10 @@ def _rank_fraction(rows):
     return rank
 
 
+def _sparse(rows):
+    return [[(i, x) for i, x in enumerate(r) if x] for r in rows]
+
+
 def test_field_coercion():
     assert Field.coerce("gf2") is Field.GF2
     assert Field.coerce("RATIONAL") is Field.RATIONAL
@@ -55,12 +59,17 @@ def test_rank_gf2_basics():
 
 def test_rank_int_basics():
     assert rank_int([]) == 0
-    assert rank_int([[0, 0], [0, 0]]) == 0
-    assert rank_int([[1, 2], [2, 4]]) == 1
-    assert rank_int([[1, 2], [2, 5]]) == 2
+    assert rank_int(_sparse([[0, 0], [0, 0]])) == 0
+    assert rank_int(_sparse([[1, 2], [2, 4]])) == 1
+    assert rank_int(_sparse([[1, 2], [2, 5]])) == 2
     # rank 2 over Q but rank 1 over GF(2)
-    assert rank_int([[1, 1], [1, -1]]) == 2
+    assert rank_int(_sparse([[1, 1], [1, -1]])) == 2
     assert rank_gf2([0b11, 0b11]) == 1
+    # non-unit pivots: the first needs division by the content
+    assert rank_int(_sparse([[2, 4], [3, 6]])) == 1
+    assert rank_int(_sparse([[2, 3], [4, 5]])) == 2
+    # an all-zero column, empty or with explicit zeros
+    assert rank_int([[], [(0, 0), (1, 0)], [(1, 3)]]) == 1
 
 
 def test_rank_int_matches_fraction_elimination():
@@ -68,7 +77,15 @@ def test_rank_int_matches_fraction_elimination():
     for _ in range(150):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-        assert rank_int(rows) == _rank_fraction(rows)
+        assert rank_int(_sparse(rows)) == _rank_fraction(rows)
+    # mostly zero, up to 12 x 12: fill-in and non-unit pivots
+    for _ in range(150):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [
+            [rng.randint(-4, 4) if rng.random() < 0.25 else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        assert rank_int(_sparse(rows)) == _rank_fraction(rows)
 
 
 def test_pentagon_boundary_rank():
@@ -98,10 +115,10 @@ def test_full_complex_is_acyclic():
         assert reduced_betti_numbers(X, Field.RATIONAL) == [0] * (n - 2)
 
 
-def test_interior_column_all_ones_over_gf2():
+def test_interior_column_all_ones_over_gf2(dense_boundary):
     X = build(6)
     cc = chain_complex(X, Field.GF2)
-    top = cc.matrix(3)
+    top = dense_boundary(cc, 3)
     assert len(top) == 14
     assert all(row == [1] for row in top)
 
@@ -132,6 +149,22 @@ def test_fields_agree_on_all_hexagon_restrictions():
         assert reduced_betti_numbers(sub, Field.GF2) == reduced_betti_numbers(
             sub, Field.RATIONAL
         )
+
+
+def test_chain_complex_ranks_match_fraction_elimination(dense_boundary):
+    X6, X7 = build(6), build(7)
+    complexes = [
+        restrict(X6, {v + 1 for v in range(6) if mask >> v & 1}) for mask in range(64)
+    ]
+    complexes += [X7, boundary_complex(X7)]
+    for X in complexes:
+        if X.is_empty:
+            continue
+        cc = chain_complex(X, Field.RATIONAL)
+        mod2 = chain_complex(X, Field.GF2)
+        for k in cc.columns:
+            assert cc.rank(k) == _rank_fraction(dense_boundary(cc, k))
+            assert mod2.rank(k) <= cc.rank(k)
 
 
 def test_simplicial_reduced_betti_known_spaces():
