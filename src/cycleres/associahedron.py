@@ -3,9 +3,10 @@
 For the n-gon, vertices of the complex are diagonals, faces are
 dissections (non-crossing diagonal sets, the empty one included), and
 each face carries a squarefree label: the set of polygon vertices its
-diagonals touch.  On top of the simplicial faces sits a single interior
-cell of dimension n - 3 whose boundary consists of all triangulations,
-turning the simplicial sphere into a ball.
+diagonals touch, stored as a bitmask (bit v - 1 for vertex v).  On top
+of the simplicial faces sits a single interior cell of dimension n - 3
+whose boundary consists of all triangulations, turning the simplicial
+sphere into a ball.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
 
-from .polygon import Diagonal, all_diagonals, iter_noncrossing, support
+from .polygon import Diagonal, all_diagonals, iter_noncrossing, support, vertices
 
 
 @dataclass(frozen=True)
@@ -23,13 +24,15 @@ class Face:
     """One cell of the complex.
 
     ``diagonals`` is the dissection for simplicial faces (the empty
-    tuple for the empty face) and None for the interior cell.
+    tuple for the empty face) and None for the interior cell.  ``label``
+    is a vertex bitmask, bit v - 1 for vertex v, and (1 << n) - 1 on the
+    interior cell; ``to_json`` lists its vertices.
     """
 
     id: int
     dim: int
     diagonals: tuple[Diagonal, ...] | None
-    label: frozenset[int]
+    label: int
 
     @property
     def is_interior(self) -> bool:
@@ -45,7 +48,7 @@ class Face:
             "id": self.id,
             "dim": self.dim,
             "diagonals": None if self.is_interior else [[a, b] for a, b in self.diagonals],
-            "label": sorted(self.label),
+            "label": vertices(self.label),
         }
 
 
@@ -171,7 +174,7 @@ def build(n: int) -> LabeledComplex:
     diags = all_diagonals(n)
     dissections = sorted(iter_noncrossing(diags, max_size=n - 3), key=lambda ds: (len(ds), ds))
     faces = [Face(i, len(ds) - 1, ds, support(ds)) for i, ds in enumerate(dissections)]
-    faces.append(Face(len(faces), n - 3, None, frozenset(range(1, n + 1))))
+    faces.append(Face(len(faces), n - 3, None, (1 << n) - 1))
     return LabeledComplex(n, faces)
 
 
@@ -182,10 +185,11 @@ def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
     the covers the constructor derives are those of X among them.  The
     interior cell survives only when sigma is all of 1..n.
     """
-    sig = frozenset(sigma)
-    if not sig <= frozenset(range(1, X.n + 1)):
+    sig = set(sigma)
+    mask = sum(1 << (v - 1) for v in range(1, X.n + 1) if v in sig)
+    if mask.bit_count() != len(sig):
         raise ValueError(f"sigma {sorted(sig)} is not a subset of 1..{X.n}")
-    keep = [f for f in X.faces if f.label <= sig]
+    keep = [f for f in X.faces if not f.label & ~mask]
     return LabeledComplex(X.n, [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(keep)])
 
 

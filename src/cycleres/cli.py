@@ -15,7 +15,7 @@ from .associahedron import Face, build, f_formula
 from .betti import MethodDisagreement, betti_closed_form, betti_table
 from .homology import Field
 from .morse import count_formulas, critical_cells, d2_matching, greedy_extend, validate
-from .polygon import count_by_support, count_trees
+from .polygon import count_by_support, count_trees, vertices
 from .resolution import DEFAULT_MAX_N, minimality_witnesses, verify_supports_resolution
 from .tableaux import (
     associahedron_shape,
@@ -96,7 +96,7 @@ def _witness_json(f: Face, g: Face) -> dict:
     return {
         "lower": [[a, b] for a, b in f.diagonals],
         "upper": [[a, b] for a, b in g.diagonals],
-        "label": sorted(f.label),
+        "label": vertices(f.label),
     }
 
 
@@ -130,13 +130,13 @@ def _cmd_verify_resolution(args) -> int:
             f" ({report.empty_restrictions} empty, {acyclic} acyclic)"
         )
         if report.failures:
-            print("failures: " + "; ".join(str(list(s)) for s in report.failures))
+            print("failures: " + "; ".join(str(vertices(s)) for s in report.failures))
         else:
             print("failures: none")
         if report.cone_mismatches:
             print(
                 "cone mismatches: "
-                + "; ".join(str(list(s)) for s in report.cone_mismatches)
+                + "; ".join(str(vertices(s)) for s in report.cone_mismatches)
             )
         else:
             print("cone agreement: ok")
@@ -159,7 +159,7 @@ def _cmd_minimality(args) -> int:
         print(f"n={args.n}: minimal: {'yes' if minimal else 'no'}"
               f" ({len(witnesses)} equal-label cover pairs)")
         for f, g in witnesses:
-            label = ",".join(map(str, sorted(f.label)))
+            label = ",".join(map(str, vertices(f.label)))
             print(f"{f} < {g}  label {{{label}}}")
     return 0
 

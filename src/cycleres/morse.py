@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .associahedron import LabeledComplex, f_formula
-from .polygon import Diagonal, SupportClass, count_by_class
+from .polygon import Diagonal, SupportClass, count_by_class, vertices
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ def _superproper_partner(d1: Diagonal, d2: Diagonal) -> Diagonal:
     return Diagonal(j, l) if j < k else Diagonal(i, l)
 
 
-def _triangle_partner(face_label: frozenset[int]) -> tuple[Diagonal, Diagonal]:
+def _triangle_partner(face_label: int) -> tuple[Diagonal, Diagonal]:
     """The two short sides {ij, jk} kept when matching a triangle downward."""
-    i, j, k = sorted(face_label)
+    i, j, k = vertices(face_label)
     return Diagonal(i, j), Diagonal(j, k)
 
 
@@ -73,7 +73,7 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
     """
     pairs = []
     for face in X.faces_of_dim(1):
-        if face.is_interior or len(face.label) != 4:
+        if face.is_interior or face.label.bit_count() != 4:
             continue
         d1, d2 = face.diagonals
         extra = _superproper_partner(d1, d2)
@@ -82,7 +82,7 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
             raise RuntimeError(f"partner of {face} is not a face")
         pairs.append((face.id, upper.id))
     for face in X.faces_of_dim(2):
-        if face.is_interior or len(face.label) != 3:
+        if face.is_interior or face.label.bit_count() != 3:
             continue
         lower = X.face_by_diagonals(sorted(_triangle_partner(face.label)))
         if lower is None:
@@ -146,8 +146,8 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
             problems.append(f"pair ({lo},{hi}) is not a cover relation")
         elif X.face(lo).label != X.face(hi).label:
             problems.append(
-                f"pair ({lo},{hi}) joins labels {sorted(X.face(lo).label)}"
-                f" != {sorted(X.face(hi).label)}"
+                f"pair ({lo},{hi}) joins labels {vertices(X.face(lo).label)}"
+                f" != {vertices(X.face(hi).label)}"
             )
     use = Counter(fid for pair in m.pairs for fid in pair)
     for fid, k in sorted(use.items()):

@@ -4,7 +4,8 @@ Vertices are labeled 1..n around the polygon.  A diagonal is a chord
 between two non-adjacent vertices; a dissection is a set of pairwise
 non-crossing diagonals.  Everything here is pure combinatorics on
 integer pairs: crossing is decided by cyclic interleaving, never by
-coordinates.  All values are immutable and all functions are pure.
+coordinates.  A vertex set is an int bitmask, bit v - 1 for vertex v.
+All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -79,13 +80,17 @@ def all_diagonals(n: int) -> list[Diagonal]:
     ]
 
 
-def support(diagonals: Iterable[Pair]) -> frozenset[int]:
-    """The set of polygon vertices used as endpoints by the diagonals."""
-    verts: set[int] = set()
+def support(diagonals: Iterable[Pair]) -> int:
+    """Bitmask of the polygon vertices used as endpoints by the diagonals."""
+    mask = 0
     for a, b in diagonals:
-        verts.add(a)
-        verts.add(b)
-    return frozenset(verts)
+        mask |= 1 << (a - 1) | 1 << (b - 1)
+    return mask
+
+
+def vertices(mask: int) -> list[int]:
+    """The vertices in a bitmask, ascending: vertex v for each set bit v - 1."""
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
 
 
 def classify(diagonals: Iterable[Pair]) -> SupportClass:
@@ -93,7 +98,7 @@ def classify(diagonals: Iterable[Pair]) -> SupportClass:
     ds = tuple(diagonals)
     if not ds:
         raise ValueError("support classification is undefined for the empty dissection")
-    s = len(support(ds))
+    s = support(ds).bit_count()
     if s == len(ds) + 1:
         return SupportClass.PROPER
     if s > len(ds) + 1:
@@ -107,20 +112,17 @@ def is_tree(diagonals: Iterable[Pair]) -> bool:
     if not ds:
         raise ValueError("is_tree is undefined for the empty dissection")
     verts = support(ds)
-    if len(ds) != len(verts) - 1:
+    if len(ds) != verts.bit_count() - 1:
         return False
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in ds:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {ds[0][0]}
-    stack = [ds[0][0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+    # Grow the vertices reached from the first diagonal: while they can
+    # grow, each pass adds one, so len(ds) passes reach the whole component.
+    masks = [support([d]) for d in ds]
+    reached = masks[0]
+    for _ in ds:
+        for m in masks:
+            if reached & m:
+                reached |= m
+    return reached == verts
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ class Dissection:
         return "{" + ",".join(str(d) for d in self.diagonals) + "}"
 
     @property
-    def support(self) -> frozenset[int]:
+    def support(self) -> int:
         return support(self.diagonals)
 
     def classify(self) -> SupportClass:
@@ -219,22 +221,15 @@ def count_by_support(n: int, d: int) -> dict[int, int]:
     """Counts of d-diagonal dissections bucketed by support size."""
     counts: Counter[int] = Counter()
     for ds in iter_dissections(n, d):
-        counts[len(support(ds))] += 1
+        counts[support(ds).bit_count()] += 1
     return dict(sorted(counts.items()))
 
 
 def count_by_class(n: int, d: int) -> dict[SupportClass, int]:
     """Counts of d-diagonal dissections by support classification, d >= 1."""
-    if d < 1:
-        raise ValueError("classification needs d >= 1")
     out = {cls: 0 for cls in SupportClass}
-    for s, c in count_by_support(n, d).items():
-        if s == d + 1:
-            out[SupportClass.PROPER] += c
-        elif s > d + 1:
-            out[SupportClass.SUPERPROPER] += c
-        else:
-            out[SupportClass.SUBPROPER] += c
+    for ds in iter_dissections(n, d):
+        out[classify(ds)] += 1
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .associahedron import Face, LabeledComplex, build, restrict
 from .homology import Field, is_acyclic
-from .polygon import Diagonal, all_diagonals, crosses, diagonal, iter_noncrossing
+from .polygon import Diagonal, all_diagonals, crosses, diagonal, iter_noncrossing, vertices
 
 # 2^n restrictions each need a homology computation; larger n on request only.
 DEFAULT_MAX_N = 8
@@ -97,8 +97,9 @@ class ResolutionReport:
     field: Field
     checked: int
     empty_restrictions: int
-    failures: tuple[tuple[int, ...], ...]
-    cone_mismatches: tuple[tuple[int, ...], ...]
+    # failing sigmas as vertex bitmasks; to_json lists their vertices
+    failures: tuple[int, ...]
+    cone_mismatches: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
@@ -110,17 +111,13 @@ class ResolutionReport:
             "field": self.field.value,
             "checked": self.checked,
             "empty": self.empty_restrictions,
-            "failures": [list(s) for s in self.failures],
-            "cone_mismatches": [list(s) for s in self.cone_mismatches],
+            "failures": [vertices(s) for s in self.failures],
+            "cone_mismatches": [vertices(s) for s in self.cone_mismatches],
             "ok": self.ok,
         }
 
 
-def _mask_to_sigma(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
-
-
-def _cone_agrees(n: int, sigma: tuple[int, ...], restriction: LabeledComplex) -> bool:
+def _cone_agrees(n: int, sigma: list[int], restriction: LabeledComplex) -> bool:
     apex = cone_apex(n, sigma)
     if restriction.is_empty:
         return apex is None
@@ -131,7 +128,7 @@ def _cone_agrees(n: int, sigma: tuple[int, ...], restriction: LabeledComplex) ->
 
 def _check_mask(X: LabeledComplex, field: Field, mask: int) -> tuple[bool, bool, bool]:
     """(empty, acyclic, cone agrees) for the restriction of X to the vertex bitmask."""
-    sigma = _mask_to_sigma(mask, X.n)
+    sigma = vertices(mask)
     R = restrict(X, sigma)
     empty = R.is_empty
     acyclic = empty or is_acyclic(R, field)
@@ -173,8 +170,8 @@ def verify_supports_resolution(
         raise ValueError(f"need workers >= 1, got {workers}")
     total = 1 << n
     empties = 0
-    failures: list[tuple[int, ...]] = []
-    mismatches: list[tuple[int, ...]] = []
+    failures: list[int] = []
+    mismatches: list[int] = []
     with ExitStack() as stack:
         if workers == 1:
             verdicts = map(partial(_check_mask, build(n), field), range(total))
@@ -190,9 +187,9 @@ def verify_supports_resolution(
             if empty:
                 empties += 1
             elif not acyclic:
-                failures.append(_mask_to_sigma(mask, n))
+                failures.append(mask)
             if not cone_ok:
-                mismatches.append(_mask_to_sigma(mask, n))
+                mismatches.append(mask)
             if progress is not None:
                 progress(mask + 1, total)
     return ResolutionReport(n, field, total, empties, tuple(failures), tuple(mismatches))

@@ -8,7 +8,7 @@ from cycleres.associahedron import (
     f_formula,
     restrict,
 )
-from cycleres.polygon import Diagonal, support
+from cycleres.polygon import Diagonal, support, vertices
 
 
 def test_f_formula_values():
@@ -36,14 +36,15 @@ def test_build_canonical_ids():
     X = build(6)
     assert X.faces[0].dim == -1
     assert X.faces[0].diagonals == ()
-    assert X.faces[0].label == frozenset()
+    assert X.faces[0].label == 0
     # vertices come next, in lexicographic diagonal order
     assert X.faces[1].diagonals == (Diagonal(1, 3),)
     assert [f.id for f in X.faces] == list(range(len(X)))
     interior = X.faces[-1]
     assert interior.is_interior
     assert interior.dim == 3
-    assert interior.label == frozenset(range(1, 7))
+    assert interior.label == 0b111111
+    assert vertices(interior.label) == [1, 2, 3, 4, 5, 6]
 
 
 def test_labels_are_supports():
@@ -57,7 +58,7 @@ def test_label_monotone_on_covers():
     for n in (5, 6, 7):
         X = build(n)
         for lo, hi in X.covers:
-            assert X.face(lo).label <= X.face(hi).label
+            assert X.face(lo).label & ~X.face(hi).label == 0
 
 
 def test_cover_counts():
@@ -116,6 +117,9 @@ def test_restrict_empty_and_full():
     assert full.has_interior
     with pytest.raises(ValueError):
         restrict(X, {1, 9})
+    for bad in (0, -2, 7):
+        with pytest.raises(ValueError, match=r"sigma .* is not a subset of 1\.\.6"):
+            restrict(X, {1, bad})
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -125,7 +129,7 @@ def test_restrict_derives_covers_interior_and_f_vector(n):
     for mask in range(1 << n):
         sigma = frozenset(v for v in full if mask >> (v - 1) & 1)
         R = restrict(X, sigma)
-        kept = [f for f in X.faces if f.label <= sigma]
+        kept = [f for f in X.faces if f.label & ~mask == 0]
         idmap = {f.id: i for i, f in enumerate(kept)}
         expected = [
             (idmap[lo], idmap[hi]) for lo, hi in X.covers if lo in idmap and hi in idmap

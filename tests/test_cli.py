@@ -1,8 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
+from cycleres import cli
 from cycleres.cli import main
+from cycleres.homology import Field
+from cycleres.resolution import ResolutionReport
 
 
 def run(capsys, argv):
@@ -177,6 +181,15 @@ def test_verify_resolution_hexagon_json_keys(capsys):
     assert data["ok"] is True
     assert data["minimal"] is False
     assert len(data["witnesses"]) == 12
+
+
+def test_verify_resolution_prints_failing_sigmas(capsys, monkeypatch):
+    report = ResolutionReport(6, Field.GF2, 64, 13, (0b000111,), (0b101000,))
+    monkeypatch.setattr(cli, "verify_supports_resolution", lambda *a, **k: report)
+    code, out, _ = run(capsys, ["verify-resolution", "6"])
+    assert code == 1
+    assert "failures: [1, 2, 3]\n" in out
+    assert "cone mismatches: [4, 6]\n" in out
 
 
 def test_verify_resolution_rational_field(capsys):
@@ -363,3 +376,22 @@ def test_progress_goes_to_stderr_not_stdout(capsys):
     assert code == 0
     json.loads(out)
     assert "checked" in err
+
+
+# sha256 of stdout for the commands that print vertex labels: how a label is
+# stored must not change a byte of what the CLI prints.
+PINNED_STDOUT = {
+    "complex 6 --json": "c47a11cc0a6eed1908cd120f6f6256cb4d38098a84900b68a728d7066cb31ce3",
+    "minimality 7": "2c58cf633683ae08cf2cef5971ede4bd2d3eb2baac8cc1e030eab6a6f055cfdb",
+    "minimality 7 --json": "418b41c09e852d14b41acf40e0af2bb37361453616617a635b1bd0aa4db4e6cb",
+    "verify-resolution 6 --json":
+        "10b66ceedb9b7b968fe0015dae72db6143a962083bcb3f0cf50df9599fc2ddd0",
+    "morse 8 --extend --json": "6cda9cafb24050bc2f03461b12109d7eaa8bcc301b910b137138857b50db7315",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT, ids=lambda c: c.replace(" ", "_"))
+def test_label_output_matches_pinned_hash(capsys, command):
+    code, out, _ = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]

@@ -18,6 +18,7 @@ from cycleres.polygon import (
     iter_dissections,
     iter_noncrossing,
     support,
+    vertices,
 )
 
 
@@ -82,8 +83,19 @@ def test_crosses_shared_endpoint_never_crosses():
 
 
 def test_support():
-    assert support([(1, 3), (4, 6)]) == frozenset({1, 3, 4, 6})
-    assert support([]) == frozenset()
+    assert support([(1, 3), (4, 6)]) == 0b101101
+    assert vertices(support([(1, 3), (4, 6)])) == [1, 3, 4, 6]
+    assert support([]) == 0
+
+
+def test_support_vertices_round_trip():
+    assert vertices(0) == []
+    for n in range(4, 9):
+        for ds in iter_noncrossing(all_diagonals(n)):
+            oracle = set()
+            for a, b in ds:
+                oracle |= {a, b}
+            assert vertices(support(ds)) == sorted(oracle)
 
 
 def test_classify_examples():
@@ -122,7 +134,7 @@ def test_is_tree_matches_networkx():
 def test_dissection_validation():
     d = Dissection(6, ((1, 3), (4, 6)))
     assert d.diagonals == (Diagonal(1, 3), Diagonal(4, 6))
-    assert d.support == frozenset({1, 3, 4, 6})
+    assert d.support == 0b101101
     assert d.classify() == SupportClass.SUPERPROPER
     with pytest.raises(ValueError):
         Dissection(6, ((1, 3), (2, 6)))
@@ -181,6 +193,22 @@ def test_count_by_class():
     cls7 = count_by_class(7, 3)
     assert cls7[SupportClass.SUBPROPER] == 7
     assert cls7[SupportClass.SUPERPROPER] == 14
+    with pytest.raises(ValueError):
+        count_by_class(6, 0)
+
+
+def test_count_by_class_matches_support_buckets():
+    for n in range(4, 10):
+        for d in range(1, n - 2):
+            by_class = count_by_class(n, d)
+            by_support = count_by_support(n, d)
+            assert by_class[SupportClass.PROPER] == by_support.get(d + 1, 0)
+            assert by_class[SupportClass.SUPERPROPER] == sum(
+                c for s, c in by_support.items() if s > d + 1
+            )
+            assert by_class[SupportClass.SUBPROPER] == sum(
+                c for s, c in by_support.items() if s < d + 1
+            )
 
 
 def test_count_trees_values():

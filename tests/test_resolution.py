@@ -4,6 +4,7 @@ from cycleres.associahedron import build
 from cycleres.homology import Field
 from cycleres.polygon import Diagonal
 from cycleres.resolution import (
+    ResolutionReport,
     cone_apex,
     cone_witness,
     minimality_witnesses,
@@ -102,6 +103,14 @@ def test_report_json():
     assert js["failures"] == []
     assert js["cone_mismatches"] == []
     assert js["ok"] is True
+
+
+def test_report_json_lists_failing_sigmas():
+    report = ResolutionReport(6, Field.GF2, 64, 13, (0b000111,), (0b101000,))
+    js = report.to_json()
+    assert js["failures"] == [[1, 2, 3]]
+    assert js["cone_mismatches"] == [[4, 6]]
+    assert js["ok"] is False
 
 
 def test_minimality_n5_empty():
