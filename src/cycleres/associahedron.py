@@ -19,7 +19,7 @@ from math import comb
 from .polygon import Diagonal, all_diagonals, iter_noncrossing, support, vertices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """One cell of the complex.
 
@@ -52,6 +52,10 @@ class Face:
         }
 
 
+# What a restriction derives from its kept faces on first read.
+_DERIVED = frozenset({"faces", "covers", "_by_diagonals", "_by_dim"})
+
+
 class LabeledComplex:
     """A face list and what it determines, immutable after construction.
 
@@ -61,11 +65,41 @@ class LabeledComplex:
     pair (F, G) with F a facet of G, sorted: each simplicial face covers
     its dissection minus one diagonal, and the interior cell covers
     every triangulation.  A missing subface raises ValueError, so every
-    complex is closed under subfaces.
+    complex built from a face list is closed under subfaces.
+
+    A restriction (see ``restrict``) is built from its ``parent`` and
+    ``kept``, the kept positions in each ``parent.faces_of_dim(d)``.  It
+    derives its renumbered ``faces``, ``covers`` and lookups only when
+    one of them is read.
     """
+
+    parent: LabeledComplex | None = None
+    kept: dict[int, list[int]] | None = None
+    _below: dict[int, list[int]] | None = None
+    # label -> dimension -> positions in faces_of_dim, built by the first restrict
+    _labels: dict[int, dict[int, list[int]]] | None = None
+    # the verified integer chain complex, built by homology on first use
+    _chains = None
 
     def __init__(self, n: int, faces: list[Face]) -> None:
         self.n = n
+        self._derive(faces)
+
+    @classmethod
+    def _restriction(cls, parent: LabeledComplex, kept: dict[int, list[int]]) -> LabeledComplex:
+        R = cls.__new__(cls)
+        R.n, R.parent, R.kept = parent.n, parent, kept
+        return R
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not yet set: a restriction's derived ones.
+        if name not in _DERIVED or self.kept is None:
+            raise AttributeError(name)
+        kept = [self.parent.faces_of_dim(d)[p] for d, ps in self.kept.items() for p in ps]
+        self._derive([Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(kept)])
+        return getattr(self, name)
+
+    def _derive(self, faces: list[Face]) -> None:
         self.faces = faces
         self._by_diagonals: dict[tuple[Diagonal, ...], int] = {
             f.diagonals: f.id for f in faces if f.diagonals is not None
@@ -89,23 +123,52 @@ class LabeledComplex:
                 covers.append((lo, f.id))
         covers.sort()
         self.covers = covers
-        self._below: dict[int, list[int]] | None = None
+
+    def _counts(self) -> dict[int, int]:
+        """Faces per dimension, ascending; a restriction counts without deriving."""
+        cells = self._by_dim if self.kept is None else self.kept
+        return {d: len(cells[d]) for d in sorted(cells)}
+
+    def _label_index(self) -> dict[int, dict[int, list[int]]]:
+        """Positions in ``faces_of_dim(d)`` by label, then dimension, built once.
+
+        First checks that every cover is label-monotone (``lo & ~hi == 0``),
+        which makes each set of faces with labels inside a mask closed under
+        subfaces; a cover that breaks it raises ValueError.
+        """
+        if self._labels is None:
+            faces = self.faces
+            for lo, hi in self.covers:
+                f, g = faces[lo], faces[hi]
+                if f.label & ~g.label:
+                    raise ValueError(
+                        f"cover {f} < {g} is not label-monotone: label "
+                        f"{vertices(f.label)} is not inside {vertices(g.label)}"
+                    )
+            index: dict[int, dict[int, list[int]]] = defaultdict(dict)
+            for d, fs in self._by_dim.items():
+                for pos, f in enumerate(fs):
+                    index[f.label].setdefault(d, []).append(pos)
+            self._labels = dict(index)
+        return self._labels
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return sum(self._counts().values())
 
     @property
     def dim(self) -> int:
-        return max(f.dim for f in self.faces)
+        return max(self._counts())
 
     @property
     def has_interior(self) -> bool:
+        if self.kept is not None:
+            return self.n - 3 in self.kept
         return self.faces[-1].is_interior
 
     @property
     def is_empty(self) -> bool:
         """True when the complex holds nothing beyond the empty face."""
-        return all(f.dim < 0 for f in self.faces)
+        return all(d < 0 for d in self._counts())
 
     def face(self, fid: int) -> Face:
         return self.faces[fid]
@@ -117,6 +180,16 @@ class LabeledComplex:
 
     def faces_of_dim(self, dim: int) -> list[Face]:
         return self._by_dim.get(dim, [])
+
+    def diagonals(self) -> list[Diagonal]:
+        """The diagonals of the vertices (0-faces), in canonical order.
+
+        A restriction reads them from its parent without deriving its faces.
+        """
+        if self.kept is None:
+            return [f.diagonals[0] for f in self.faces_of_dim(0)]
+        points = self.parent.faces_of_dim(0)
+        return [points[p].diagonals[0] for p in self.kept.get(0, ())]
 
     def facets(self) -> list[Face]:
         """Simplicial top faces: the triangulations, each with n - 3 diagonals."""
@@ -138,7 +211,7 @@ class LabeledComplex:
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 up; (f(n,0), ..., f(n,n-3), 1) for A_n."""
-        return [len(fs) for _, fs in sorted(self._by_dim.items())]
+        return list(self._counts().values())
 
     def to_json(self) -> dict:
         return {
@@ -181,16 +254,29 @@ def build(n: int) -> LabeledComplex:
 def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
     """Subcomplex of faces whose label is contained in sigma, renumbered.
 
-    Labels are monotone, so the kept faces are closed under subfaces and
-    the covers the constructor derives are those of X among them.  The
+    The first call on X builds its label index, after checking once that
+    every cover of X is label-monotone: a face's subfaces then have labels
+    inside its own, so every label filter is closed under subfaces and no
+    restriction repeats the closure check.  The kept faces are the union
+    of the label buckets inside sigma; the result records X as its
+    ``parent`` and the kept positions per dimension as ``kept``, and
+    derives its faces, covers and lookups only when they are read.  The
     interior cell survives only when sigma is all of 1..n.
     """
     sig = set(sigma)
     mask = sum(1 << (v - 1) for v in range(1, X.n + 1) if v in sig)
     if mask.bit_count() != len(sig):
         raise ValueError(f"sigma {sorted(sig)} is not a subset of 1..{X.n}")
-    keep = [f for f in X.faces if not f.label & ~mask]
-    return LabeledComplex(X.n, [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(keep)])
+    index = X._label_index()
+    found: dict[int, list[int]] = defaultdict(list)
+    sub = mask
+    while True:  # every label inside mask: its submasks, mask first and 0 last
+        for d, bucket in index.get(sub, {}).items():
+            found[d] += bucket
+        if not sub:
+            break
+        sub = (sub - 1) & mask
+    return LabeledComplex._restriction(X, {d: sorted(found[d]) for d in sorted(found)})
 
 
 def boundary_complex(X: LabeledComplex) -> LabeledComplex:

@@ -7,12 +7,18 @@ boundary column at a time and reduce it against pivot rows keyed by
 their largest index: bitmask rows over GF(2), and over the rationals
 sparse ``{index: value}`` rows with fraction-free integer updates and
 division by the content.  No floating point, no modular shortcuts.
+
+The complex of a restriction is never assembled on its own: the
+parent's integer chain complex is assembled once, with dd = 0 checked
+over the integers, and the restriction ranks the parent's columns at
+its kept positions (``Subcomplex``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from enum import Enum
+from functools import cached_property
 from math import gcd
 
 from .associahedron import LabeledComplex
@@ -110,7 +116,7 @@ class ChainComplex:
         self.bases = bases
         self.columns = columns
         self.dims = sorted(bases)
-        self._ranks: dict[int, int] = {}
+        self._gf2: dict[int, list[int]] = {}
         self._verify_dd_zero()
 
     @property
@@ -119,27 +125,31 @@ class ChainComplex:
 
     def rank(self, k: int) -> int:
         """Rank of the boundary map out of dimension k."""
+        return self._rank_at(self.field, k)
+
+    def _rank_at(self, field: Field, k: int, positions: Iterable[int] | None = None) -> int:
+        """Rank over field of the k-boundary columns at positions (default all).
+
+        Rows keep this complex's indices.  The GF(2) bitmask of each
+        column is built on first use and kept.
+        """
         if k not in self.columns:
             return 0
-        if k not in self._ranks:
-            cols = self.columns[k]
-            if self.field is Field.GF2:
-                rows = [
-                    sum(1 << i for i, c in col if c % 2) for col in cols
-                ]
-                self._ranks[k] = rank_gf2(rows)
-            else:
-                self._ranks[k] = rank_int(cols)
-        return self._ranks[k]
+        cols = self.columns[k]
+        if field is Field.RATIONAL:
+            return rank_int(cols if positions is None else [cols[i] for i in positions])
+        rows = self._gf2.get(k)
+        if rows is None:
+            rows = self._gf2[k] = [sum(1 << i for i, c in col if c % 2) for col in cols]
+        return rank_gf2(rows if positions is None else (rows[i] for i in positions))
+
+    def _size(self, k: int) -> int:
+        return len(self.bases[k])
 
     def reduced_betti(self) -> list[int]:
         """Dimensions of reduced homology in degrees 0..top_dim."""
-        out = []
-        for i in range(0, self.top_dim + 1):
-            kernel = len(self.bases[i]) - self.rank(i)
-            image = self.rank(i + 1)
-            out.append(kernel - image)
-        return out
+        ranks = [self.rank(k) for k in range(self.top_dim + 2)]
+        return [self._size(i) - ranks[i] - ranks[i + 1] for i in range(self.top_dim + 1)]
 
     def _verify_dd_zero(self) -> None:
         for k in self.dims:
@@ -157,6 +167,46 @@ class ChainComplex:
                         raise RuntimeError(
                             f"boundary of boundary nonzero in dimension {k}"
                         )
+
+
+class Subcomplex(ChainComplex):
+    """Chain complex of a closed subcomplex: ``parent``'s cells at ``kept[k]``.
+
+    ``kept[k]`` lists positions in ``parent.bases[k]``.  The parent's
+    dd = 0 was verified when it was built, and the boundary columns of a
+    closed subcomplex only touch kept rows, so dd = 0 holds here and each
+    rank is that of the parent's columns at the kept positions, on the
+    parent's row indices.  ``bases`` and ``columns`` (renumbered to index
+    the lower basis, as in ChainComplex) are derived when first read.
+    """
+
+    def __init__(self, field: Field, parent: ChainComplex, kept: dict[int, list[int]]) -> None:
+        self.field = Field.coerce(field)
+        self.parent = parent
+        self.kept = kept
+        self.dims = sorted(kept)
+
+    @cached_property
+    def bases(self) -> dict[int, list]:
+        return {k: [self.parent.bases[k][i] for i in ps] for k, ps in self.kept.items()}
+
+    @cached_property
+    def columns(self) -> dict[int, list[Column]]:
+        out: dict[int, list[Column]] = {}
+        for k, ps in self.kept.items():
+            if k - 1 in self.kept:
+                row = {p: i for i, p in enumerate(self.kept[k - 1])}
+                cols = self.parent.columns[k]
+                out[k] = [[(row[p], c) for p, c in cols[j]] for j in ps]
+        return out
+
+    def rank(self, k: int) -> int:
+        if k not in self.kept:
+            return 0
+        return self.parent._rank_at(self.field, k, self.kept[k])
+
+    def _size(self, k: int) -> int:
+        return len(self.kept[k])
 
 
 def _simplex_columns(
@@ -226,12 +276,8 @@ def _interior_column(facets: list[tuple]) -> Column:
     return list(enumerate(sign))
 
 
-def chain_complex(X: LabeledComplex, field: Field | str) -> ChainComplex:
-    """Augmented chain complex of a labeled complex, interior cell included.
-
-    Bases follow the complex's canonical face order.
-    """
-    field = Field.coerce(field)
+def _assemble(X: LabeledComplex) -> tuple[dict[int, list], dict[int, list[Column]]]:
+    """Bases and boundary columns of X in its canonical face order."""
     cells_by_dim: dict[int, list[tuple]] = {}
     for f in X.faces:
         if not f.is_interior:
@@ -241,7 +287,24 @@ def chain_complex(X: LabeledComplex, field: Field | str) -> ChainComplex:
     if X.has_interior:
         bases[X.n - 3] = [None]
         columns[X.n - 3] = [_interior_column(cells_by_dim[X.n - 4])]
-    return ChainComplex(field, bases, columns)
+    return bases, columns
+
+
+def chain_complex(X: LabeledComplex, field: Field | str) -> ChainComplex:
+    """Augmented chain complex of a labeled complex, interior cell included.
+
+    Bases follow the complex's canonical face order.  A restriction's
+    complex is a ``Subcomplex`` of its parent's integer chain complex,
+    which is assembled, and checked for dd = 0 over the integers, on the
+    first call for any restriction of that parent and kept on it.
+    """
+    field = Field.coerce(field)
+    P = X.parent
+    if P is None:
+        return ChainComplex(field, *_assemble(X))
+    if P._chains is None:
+        P._chains = ChainComplex(Field.RATIONAL, *_assemble(P))
+    return Subcomplex(field, P._chains, X.kept)
 
 
 def simplicial_reduced_betti(

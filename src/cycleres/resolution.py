@@ -5,6 +5,10 @@ is empty or acyclic over the coefficient field.  The sweep below checks all
 2^n subsets with exact homology and cross-checks the cone shortcut: every
 non-empty proper restriction has an apex diagonal lying in all of its maximal
 faces, which explains the vanishing independently of the rank computation.
+
+Each restriction is a label filter on one A_n: closure under subfaces follows
+from A_n's covers being label-monotone, checked once by the first ``restrict``,
+and dd = 0 from A_n's chain complex, checked once by the first homology call.
 """
 
 from __future__ import annotations
@@ -118,12 +122,19 @@ class ResolutionReport:
 
 
 def _cone_agrees(n: int, sigma: list[int], restriction: LabeledComplex) -> bool:
+    """Whether the cone apex of sigma lies in every maximal face of its restriction.
+
+    That holds iff the apex is a kept diagonal crossing no kept diagonal:
+    then every kept face extends by the apex, with its label still inside
+    sigma.  So only the restriction's vertices are read, not its covers.
+    """
     apex = cone_apex(n, sigma)
     if restriction.is_empty:
         return apex is None
     if apex is None:
         return False
-    return all(apex in face.diagonals for face in restriction.maximal_faces())
+    kept = restriction.diagonals()
+    return apex in kept and not any(crosses(apex, d) for d in kept)
 
 
 def _check_mask(X: LabeledComplex, field: Field, mask: int) -> tuple[bool, bool, bool]:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cycleres.associahedron import (
@@ -158,6 +160,54 @@ def test_restrict_is_closed_under_subfaces():
         for ds in present:
             for i in range(len(ds)):
                 assert ds[:i] + ds[i + 1 :] in present
+
+
+def test_restrict_rejects_a_non_monotone_cover():
+    X = build(6)
+    interior = X.faces[-1]
+    Y = LabeledComplex(6, X.faces[:-1] + [Face(interior.id, interior.dim, None, (1 << 6) - 2)])
+    message = re.escape(
+        "cover {1-3,1-4,1-5} < <interior> is not label-monotone:"
+        " label [1, 3, 4, 5] is not inside [2, 3, 4, 5, 6]"
+    )
+    for sigma in ({2, 3, 4}, range(1, 7)):
+        with pytest.raises(ValueError, match=message):
+            restrict(Y, sigma)
+
+
+def test_restriction_derives_faces_when_read():
+    X = build(7)
+    assert not {"_labels", "_chains"} & set(vars(X))
+    R = restrict(X, {1, 2, 3, 5, 6})
+    assert "_labels" in vars(X)
+    assert R.parent is X
+    kept = {
+        d: [i for i, f in enumerate(X.faces_of_dim(d)) if f.label & ~0b0110111 == 0]
+        for d in range(-1, 4)
+    }
+    assert R.kept == {d: ps for d, ps in kept.items() if ps}
+    assert not {"faces", "covers", "_by_diagonals", "_by_dim"} & set(vars(R))
+    f_vector = [len(ps) for ps in R.kept.values()]
+    assert (len(R), R.f_vector(), R.dim) == (sum(f_vector), f_vector, len(f_vector) - 2)
+    assert not R.is_empty and not R.has_interior
+    assert R.diagonals() == [
+        f.diagonals[0] for f in X.faces_of_dim(0) if f.label & ~0b0110111 == 0
+    ]
+    assert not {"faces", "covers"} & set(vars(R))
+    assert [f.id for f in R.faces] == list(range(len(R)))
+    assert R.f_vector() == f_vector and R.dim == len(f_vector) - 2
+    assert R.face_by_diagonals([(1, 3), (1, 5)]).label == 0b10101
+    assert R.diagonals() == [f.diagonals[0] for f in R.faces_of_dim(0)]
+
+
+def test_restriction_of_a_restriction():
+    X = build(7)
+    R = restrict(restrict(X, {1, 2, 3, 4, 6}), {1, 3, 4, 6, 7})
+    direct = restrict(X, {1, 3, 4, 6})
+    assert R.faces == direct.faces
+    assert R.covers == direct.covers
+    with pytest.raises(AttributeError):
+        R.no_such_attribute
 
 
 def test_boundary_complex_drops_interior():

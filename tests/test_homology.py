@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleres.associahedron import boundary_complex, build, restrict
+from cycleres.associahedron import Face, LabeledComplex, boundary_complex, build, restrict
 from cycleres.homology import (
     ChainComplex,
     Field,
@@ -14,6 +14,7 @@ from cycleres.homology import (
     reduced_betti_numbers,
     simplicial_reduced_betti,
 )
+from cycleres.polygon import vertices
 
 
 def _rank_fraction(rows):
@@ -165,6 +166,30 @@ def test_chain_complex_ranks_match_fraction_elimination(dense_boundary):
         for k in cc.columns:
             assert cc.rank(k) == _rank_fraction(dense_boundary(cc, k))
             assert mod2.rank(k) <= cc.rank(k)
+
+
+def _rebuilt(X, mask):
+    """The restriction of X to mask as a new face list: full assembly and dd = 0 check."""
+    kept = [f for f in X.faces if not f.label & ~mask]
+    return LabeledComplex(X.n, [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(kept)])
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_restriction_verdicts_match_rebuilt_complexes(n):
+    X = build(n)
+    full = (1 << n) - 1
+    for parent in (X, boundary_complex(X)):
+        for mask in range(1 << n):
+            fast, slow = restrict(parent, vertices(mask)), _rebuilt(parent, mask)
+            assert fast.parent is parent and slow.parent is None
+            for field in Field:
+                verdict = is_acyclic(fast, field)
+                assert verdict == is_acyclic(slow, field), (parent is X, mask, field)
+                # only the sphere, the boundary complex itself, is not acyclic
+                assert verdict == (not fast.is_empty and (parent is X or mask != full))
+    sphere = [0] * (n - 4) + [1]
+    for field in Field:
+        assert reduced_betti_numbers(restrict(boundary_complex(X), range(1, n + 1)), field) == sphere
 
 
 def test_simplicial_reduced_betti_known_spaces():

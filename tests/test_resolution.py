@@ -1,8 +1,9 @@
 import pytest
 
-from cycleres.associahedron import build
+from cycleres import resolution
+from cycleres.associahedron import build, restrict
 from cycleres.homology import Field
-from cycleres.polygon import Diagonal
+from cycleres.polygon import Diagonal, all_diagonals, vertices
 from cycleres.resolution import (
     ResolutionReport,
     cone_apex,
@@ -45,6 +46,31 @@ def test_cone_apex_skips_enumeration():
         if not 2 <= len(sigma) < 7:
             continue
         assert cone_apex(7, sigma) == cone_witness(7, sigma)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_cone_check_matches_maximal_faces(n, monkeypatch):
+    # the vertex-bucket form against "apex in every maximal face", for the
+    # cone apex and for every other diagonal standing in as the apex
+    X = build(n)
+    verdicts = set()
+    for mask in range(1 << n):
+        sigma = vertices(mask)
+        if not 2 <= len(sigma) < n:
+            continue
+        R = restrict(X, sigma)
+        maximal = restrict(X, sigma).maximal_faces()
+        for apex in [cone_apex(n, sigma), *all_diagonals(n)]:
+            monkeypatch.setattr(resolution, "cone_apex", lambda n, sigma: apex)
+            if R.is_empty:
+                old = apex is None
+            else:
+                old = apex is not None and all(apex in f.diagonals for f in maximal)
+            assert resolution._cone_agrees(n, sigma, R) == old, (sigma, apex)
+            verdicts.add(old)
+        monkeypatch.undo()
+        assert resolution._cone_agrees(n, sigma, R)
+    assert verdicts == {True, False}
 
 
 def test_sweep_n5_gf2():
