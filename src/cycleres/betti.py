@@ -65,17 +65,6 @@ class BettiTable:
         if row != row[::-1]:
             raise AssertionError(f"betti row is not palindromic: {row}")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "row": list(self.row()),
-            "entries": [
-                {"d": d, "j": j, "value": v}
-                for (d, j), v in sorted(self.entries.items())
-                if v
-            ],
-        }
-
 
 def _cyclic_runs(mask: int, n: int) -> int:
     """Number of cyclic blocks of consecutive set bits (vertices of the n-gon)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .associahedron import Face, build, f_formula
 from .betti import MethodDisagreement, betti_closed_form, betti_table
@@ -32,188 +33,168 @@ def _row(values) -> str:
     return " ".join(str(v) for v in values)
 
 
-def _emit(payload: dict | list) -> None:
-    print(json.dumps(payload, indent=2))
+def _parts(shape) -> str:
+    return "(" + ",".join(map(str, shape)) + ")"
 
 
 def _formula_fvector(n: int) -> list[int]:
     return [f_formula(n, d) for d in range(n - 2)] + [1]
 
 
-def _cmd_fvector(args) -> int:
+# A command's result: whether its checks passed, a thunk returning its JSON
+# payload (called only under --json; costly payloads are built inside it) and
+# its text lines.
+Result = tuple[bool, Callable[[], dict | list], list[str]]
+
+
+def _cmd_fvector(args) -> Result:
     enumerated = build(args.n).f_vector()
     formula = _formula_fvector(args.n)
     agree = enumerated == formula
-    if args.json:
-        _emit({"n": args.n, "fvector": enumerated, "formula": formula, "agree": agree})
-    else:
-        print(f"f({args.n},d-1): " + _row(enumerated))
-        if agree:
-            print("enumeration agrees with closed form")
-        else:
-            print("MISMATCH: closed form gives " + _row(formula))
-    return 0 if agree else 1
+    lines = [
+        f"f({args.n},d-1): " + _row(enumerated),
+        "enumeration agrees with closed form" if agree
+        else "MISMATCH: closed form gives " + _row(formula),
+    ]
+    payload = {"n": args.n, "fvector": enumerated, "formula": formula, "agree": agree}
+    return agree, lambda: payload, lines
 
 
-def _cmd_betti(args) -> int:
-    table = betti_table(args.n, args.method)
-    if args.json:
-        _emit({"n": args.n, "method": args.method, "betti": list(table.row())})
-    else:
-        print(f"β^{args.n}_d: " + _row(table.row()))
-        if args.method == "all":
-            print("agreement: hochster = closed = recursion")
-        else:
-            print(f"method: {args.method}")
-    return 0
+def _cmd_betti(args) -> Result:
+    row = list(betti_table(args.n, args.method).row())
+    lines = [
+        f"β^{args.n}_d: " + _row(row),
+        "agreement: hochster = closed = recursion" if args.method == "all"
+        else f"method: {args.method}",
+    ]
+    return True, lambda: {"n": args.n, "method": args.method, "betti": row}, lines
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> Result:
     rows = []
+    lines = []
     for n in range(6, 10):
-        table = betti_table(n, "all")
-        rows.append({"n": n, "betti": list(table.row()), "f": _formula_fvector(n)})
-    if args.json:
-        _emit(rows)
-    else:
-        blocks = []
-        for r in rows:
-            blocks.append(
-                "\n".join(
-                    [
-                        f"n={r['n']}",
-                        "d: " + _row(range(len(r["betti"]))),
-                        f"β^{r['n']}_d: " + _row(r["betti"]),
-                        f"f({r['n']},d-1): " + _row(r["f"]),
-                    ]
-                )
-            )
-        print("\n\n".join(blocks))
-    return 0
+        r = {"n": n, "betti": list(betti_table(n, "all").row()), "f": _formula_fvector(n)}
+        rows.append(r)
+        lines += [
+            "",  # blank line between blocks; the one before the first is dropped
+            f"n={n}",
+            "d: " + _row(range(len(r["betti"]))),
+            f"β^{n}_d: " + _row(r["betti"]),
+            f"f({n},d-1): " + _row(r["f"]),
+        ]
+    return True, lambda: rows, lines[1:]
 
 
-def _witness_json(f: Face, g: Face) -> dict:
-    return {
-        "lower": [[a, b] for a, b in f.diagonals],
-        "upper": [[a, b] for a, b in g.diagonals],
-        "label": vertices(f.label),
-    }
+def _witnesses(n: int) -> tuple[list[tuple[Face, Face]], Callable[[], dict]]:
+    """The equal-label cover pairs of A_n and a thunk for their JSON fields."""
+    witnesses = minimality_witnesses(build(n))
+
+    def to_json() -> dict:
+        pairs = [
+            {
+                "lower": [[a, b] for a, b in f.diagonals],
+                "upper": [[a, b] for a, b in g.diagonals],
+                "label": vertices(f.label),
+            }
+            for f, g in witnesses
+        ]
+        return {"minimal": not witnesses, "witnesses": pairs}
+
+    return witnesses, to_json
 
 
-def _progress_printer():
-    def cb(done: int, total: int) -> None:
-        step = max(1, total // 8)
-        if done % step == 0 or done == total:
-            print(f"checked {done}/{total}", file=sys.stderr)
-
-    return cb
+def _print_progress(done: int, total: int) -> None:
+    step = max(1, total // 8)
+    if done % step == 0 or done == total:
+        print(f"checked {done}/{total}", file=sys.stderr)
 
 
-def _cmd_verify_resolution(args) -> int:
+def _cmd_verify_resolution(args) -> Result:
     field = Field.coerce(args.field)
-    progress = _progress_printer() if args.n >= 7 else None
+    progress = _print_progress if args.n >= 7 else None
     report = verify_supports_resolution(
         args.n, field, max_n=args.max_n, workers=args.threads, progress=progress
     )
-    witnesses = minimality_witnesses(build(args.n))
-    minimal = not witnesses
-    if args.json:
-        payload = report.to_json()
-        payload["minimal"] = minimal
-        payload["witnesses"] = [_witness_json(f, g) for f, g in witnesses]
-        _emit(payload)
-    else:
-        acyclic = report.checked - report.empty_restrictions - len(report.failures)
-        print(f"n={report.n} field={report.field.value}")
-        print(
-            f"checked: {report.checked} restrictions"
-            f" ({report.empty_restrictions} empty, {acyclic} acyclic)"
-        )
-        if report.failures:
-            print("failures: " + "; ".join(str(vertices(s)) for s in report.failures))
-        else:
-            print("failures: none")
-        if report.cone_mismatches:
-            print(
-                "cone mismatches: "
-                + "; ".join(str(vertices(s)) for s in report.cone_mismatches)
-            )
-        else:
-            print("cone agreement: ok")
-        print("minimal: yes" if minimal else f"minimal: no ({len(witnesses)} witnesses)")
-    return 0 if report.ok else 1
+    witnesses, witnesses_json = _witnesses(args.n)
+    acyclic = report.checked - report.empty_restrictions - len(report.failures)
+    failures = "; ".join(str(vertices(s)) for s in report.failures)
+    mismatches = "; ".join(str(vertices(s)) for s in report.cone_mismatches)
+    lines = [
+        f"n={report.n} field={report.field.value}",
+        f"checked: {report.checked} restrictions"
+        f" ({report.empty_restrictions} empty, {acyclic} acyclic)",
+        "failures: " + (failures or "none"),
+        "cone mismatches: " + mismatches if mismatches else "cone agreement: ok",
+        "minimal: " + (f"no ({len(witnesses)} witnesses)" if witnesses else "yes"),
+    ]
+    return report.ok, lambda: report.to_json() | witnesses_json(), lines
 
 
-def _cmd_minimality(args) -> int:
-    witnesses = minimality_witnesses(build(args.n))
-    minimal = not witnesses
-    if args.json:
-        _emit(
-            {
-                "n": args.n,
-                "minimal": minimal,
-                "witnesses": [_witness_json(f, g) for f, g in witnesses],
-            }
-        )
-    else:
-        print(f"n={args.n}: minimal: {'yes' if minimal else 'no'}"
-              f" ({len(witnesses)} equal-label cover pairs)")
-        for f, g in witnesses:
-            label = ",".join(map(str, vertices(f.label)))
-            print(f"{f} < {g}  label {{{label}}}")
-    return 0
+def _cmd_minimality(args) -> Result:
+    witnesses, witnesses_json = _witnesses(args.n)
+    lines = [f"n={args.n}: minimal: {'no' if witnesses else 'yes'}"
+             f" ({len(witnesses)} equal-label cover pairs)"]
+    for f, g in witnesses:
+        label = ",".join(map(str, vertices(f.label)))
+        lines.append(f"{f} < {g}  label {{{label}}}")
+    return True, lambda: {"n": args.n} | witnesses_json(), lines
 
 
-def _cmd_morse(args) -> int:
-    X = build(args.n)
-    matching = d2_matching(X)
+def _matching(X, matching, head: str, valid: str, critical: str):
+    """Validate one matching of X: (ok, critical counts, JSON thunk, text lines)."""
     report = validate(matching, X)
     crit = critical_cells(matching, X)
-    ok = report.ok
-    beta2 = betti_closed_form(args.n, 2) if args.n >= 5 else None
-    if beta2 is not None and crit.get(1, 0) != beta2:
-        ok = False
-    formulas = count_formulas(args.n) if args.n >= 6 else None
-    payload = {
-        "n": args.n,
-        "pairs": matching.to_json(),
-        "valid": report.ok,
-        "problems": list(report.problems),
-        "critical": list(crit.values()),
-    }
-    if formulas is not None:
-        payload["formulas"] = formulas
     lines = [
-        f"n={args.n}: {len(matching)} matched pairs",
-        f"valid: {'yes' if report.ok else 'no'}",
+        f"{head} {len(matching)} matched pairs",
+        f"{valid}: {'yes' if report.ok else 'no'}",
         *[f"problem: {p}" for p in report.problems],
-        f"critical (dim -1..{X.dim}): " + _row(crit.values()),
+        f"{critical}: " + _row(crit.values()),
     ]
-    if beta2 is not None:
-        agree = "agree" if crit.get(1, 0) == beta2 else "MISMATCH"
-        lines.append(f"critical edges: {crit.get(1, 0)}, β^{args.n}_2: {beta2}, {agree}")
+
+    def to_json() -> dict:
+        return {
+            "pairs": matching.to_json(),
+            "valid": report.ok,
+            "problems": list(report.problems),
+            "critical": list(crit.values()),
+        }
+
+    return report.ok, crit, to_json, lines
+
+
+def _cmd_morse(args) -> Result:
+    X = build(args.n)
+    matching = d2_matching(X)
+    ok, crit, block, lines = _matching(
+        X, matching, f"n={args.n}:", "valid", f"critical (dim -1..{X.dim})"
+    )
+    if args.n >= 5:
+        beta2 = betti_closed_form(args.n, 2)
+        agree = crit.get(1, 0) == beta2
+        ok = ok and agree
+        lines.append(f"critical edges: {crit.get(1, 0)}, β^{args.n}_2: {beta2},"
+                     f" {'agree' if agree else 'MISMATCH'}")
+    formulas = count_formulas(args.n) if args.n >= 6 else None
     if formulas is not None:
         lines.append(_row(f"{k}: {v}" for k, v in formulas.items()))
+    extended = None
     if args.extend:
-        extended = greedy_extend(matching, X)
-        report2 = validate(extended, X)
-        crit2 = critical_cells(extended, X)
-        ok = ok and report2.ok
-        payload["extended"] = {
-            "pairs": extended.to_json(),
-            "valid": report2.ok,
-            "problems": list(report2.problems),
-            "critical": list(crit2.values()),
-        }
-        lines.append(f"extended: {len(extended)} matched pairs")
-        lines.append(f"extended valid: {'yes' if report2.ok else 'no'}")
-        lines.extend(f"problem: {p}" for p in report2.problems)
-        lines.append(f"extended critical: " + _row(crit2.values()))
-    if args.json:
-        _emit(payload)
-    else:
-        print("\n".join(lines))
-    return 0 if ok else 1
+        ext_ok, _, extended, ext_lines = _matching(
+            X, greedy_extend(matching, X), "extended:", "extended valid", "extended critical"
+        )
+        ok = ok and ext_ok
+        lines += ext_lines
+
+    def to_json() -> dict:
+        payload = {"n": args.n} | block()
+        if formulas is not None:
+            payload["formulas"] = formulas
+        if extended is not None:
+            payload["extended"] = extended()
+        return payload
+
+    return ok, to_json, lines
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -223,13 +204,15 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise ValueError(f"shape must be comma-separated integers, got {text!r}")
 
 
-def _cmd_syt(args) -> int:
+def _cmd_syt(args) -> Result:
     if (args.shape is None) == (args.family is None):
         raise ValueError("give exactly one of --shape or --family")
     if args.shape is not None:
+        if args.n is not None or args.d is not None:
+            raise ValueError("--n and --d go with --family, not --shape")
         shape = _parse_shape(args.shape)
         expected = None
-        header = f"shape ({','.join(map(str, shape))})"
+        header = f"shape {_parts(shape)}"
     else:
         if args.n is None or args.d is None:
             raise ValueError("--family needs --n and --d")
@@ -241,34 +224,29 @@ def _cmd_syt(args) -> int:
             shape = syzygy_shape(args.n, args.d)
             expected = betti_closed_form(args.n, args.d)
             reference = f"β^{args.n}_{args.d}"
-        header = f"family {args.family} n={args.n} d={args.d}:" \
-                 f" shape ({','.join(map(str, shape))})"
+        header = f"family {args.family} n={args.n} d={args.d}: shape {_parts(shape)}"
     count = hook_count(shape)
     agree = expected is None or count == expected
     tableaux = enumerate_syt(shape) if args.enumerate else None
-    if args.json:
+    if expected is None:
+        check = f"tableaux: {count} (conjugate {_parts(conjugate(shape))} has the same count)"
+    else:
+        check = f"tableaux: {count}, {reference}: {expected}, {'agree' if agree else 'MISMATCH'}"
+    lines = [header, check, *map(str, tableaux or ())]
+
+    def to_json() -> dict:
         payload = {"shape": list(shape), "count": count, "conjugate": list(conjugate(shape))}
         if args.family is not None:
             payload.update({"family": args.family, "n": args.n, "d": args.d,
                             "expected": expected, "agree": agree})
         if tableaux is not None:
             payload["tableaux"] = [t.to_json() for t in tableaux]
-        _emit(payload)
-    else:
-        print(header)
-        if expected is None:
-            print(f"tableaux: {count}"
-                  f" (conjugate ({','.join(map(str, conjugate(shape)))}) has the same count)")
-        else:
-            print(f"tableaux: {count}, {reference}: {expected},"
-                  f" {'agree' if agree else 'MISMATCH'}")
-        if tableaux is not None:
-            for t in tableaux:
-                print(str(t))
-    return 0 if agree else 1
+        return payload
+
+    return agree, to_json, lines
 
 
-def _cmd_involution(args) -> int:
+def _cmd_involution(args) -> Result:
     shape = associahedron_shape(args.n, args.d)
     tableaux = enumerate_syt(shape)
     fixed = 0
@@ -285,26 +263,21 @@ def _cmd_involution(args) -> int:
             if s != t and abs(s.size - t.size) != 1:
                 problems.append(f"σ changes {t} by more than one cell")
     expected = betti_closed_form(args.n, args.d)
-    ok = fixed == expected and not problems
-    if args.json:
-        payload = {"n": args.n, "d": args.d, "tableaux": len(tableaux),
-                   "fixed": fixed, "betti": expected, "agree": fixed == expected}
-        if args.verify:
-            payload["verified"] = not problems
-            payload["problems"] = problems
-        _emit(payload)
-    else:
-        print(f"family ({args.n},{args.d}): {len(tableaux)} tableaux")
-        print(f"fixed: {fixed}, β^{args.n}_{args.d}: {expected},"
-              f" {'agree' if fixed == expected else 'MISMATCH'}")
-        if args.verify:
-            print("σ² = id: verified" if not problems else "σ² = id: FAILED")
-            for p in problems:
-                print(f"problem: {p}")
-    return 0 if ok else 1
+    agree = fixed == expected
+    lines = [
+        f"family ({args.n},{args.d}): {len(tableaux)} tableaux",
+        f"fixed: {fixed}, β^{args.n}_{args.d}: {expected}, {'agree' if agree else 'MISMATCH'}",
+    ]
+    payload = {"n": args.n, "d": args.d, "tableaux": len(tableaux),
+               "fixed": fixed, "betti": expected, "agree": agree}
+    if args.verify:
+        lines.append("σ² = id: FAILED" if problems else "σ² = id: verified")
+        lines += [f"problem: {p}" for p in problems]
+        payload |= {"verified": not problems, "problems": problems}
+    return agree and not problems, lambda: payload, lines
 
 
-def _cmd_dissections(args) -> int:
+def _cmd_dissections(args) -> Result:
     count = f_formula(args.n, args.d)
     ok = True
     lines = [f"dissections({args.n},{args.d}): {count}"]
@@ -320,21 +293,16 @@ def _cmd_dissections(args) -> int:
         trees = count_trees(args.n, args.d)
         lines.append(f"trees: {trees}")
         payload["trees"] = trees
-    if args.json:
-        _emit(payload)
-    else:
-        print("\n".join(lines))
-    return 0 if ok else 1
+    return ok, lambda: payload, lines
 
 
-def _cmd_complex(args) -> int:
+def _cmd_complex(args) -> Result:
     X = build(args.n)
-    if args.json:
-        _emit(X.to_json())
-    else:
-        print(f"n={args.n}: {len(X)} faces, {len(X.covers)} covers, dim {X.dim}")
-        print(f"f({args.n},d-1): " + _row(X.f_vector()))
-    return 0
+    lines = [
+        f"n={args.n}: {len(X)} faces, {len(X.covers)} covers, dim {X.dim}",
+        f"f({args.n},d-1): " + _row(X.f_vector()),
+    ]
+    return True, X.to_json, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,13 +378,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        ok, payload, lines = args.func(args)
     except (MethodDisagreement, RuntimeError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(payload(), indent=2) if args.json else "\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -45,9 +45,6 @@ class MatchingReport:
     ok: bool
     problems: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "problems": list(self.problems)}
-
 
 def _superproper_partner(d1: Diagonal, d2: Diagonal) -> Diagonal:
     """Third diagonal completing a disjoint pair to its matched 3-face.

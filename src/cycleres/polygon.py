@@ -165,13 +165,6 @@ class Dissection:
     def is_tree(self) -> bool:
         return is_tree(self.diagonals)
 
-    def to_json(self) -> list[list[int]]:
-        return [[d.a, d.b] for d in self.diagonals]
-
-    @classmethod
-    def from_json(cls, n: int, data: Iterable[Sequence[int]]) -> "Dissection":
-        return cls(n, tuple(Diagonal(int(a), int(b)) for a, b in data))
-
 
 def iter_noncrossing(
     diagonals: Sequence[Diagonal],
@@ -238,8 +231,4 @@ def count_trees(n: int, d: int) -> int:
 
     The empty dissection has no vertices and is not counted as a tree.
     """
-    if d == 0:
-        if not 0 <= d <= n - 3:
-            raise ValueError(f"need 0 <= d <= n - 3, got d={d} for n={n}")
-        return 0
-    return sum(1 for ds in iter_dissections(n, d) if is_tree(ds))
+    return sum(1 for ds in iter_dissections(n, d) if ds and is_tree(ds))

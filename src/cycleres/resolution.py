@@ -13,6 +13,7 @@ and dd = 0 from A_n's chain complex, checked once by the first homology call.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -172,13 +173,15 @@ def verify_supports_resolution(
 
     Also verifies, for every sigma with 2 <= |sigma| < n, that the cone apex
     agrees with the homology verdict.  Reports failing sigmas rather than
-    raising; raises ValueError only on out-of-range n or workers < 1.
+    raising; raises ValueError only on out-of-range n or workers < 1.  At most
+    os.cpu_count() worker processes run; the verdicts do not depend on how many.
     """
     field = Field.coerce(field)
     if not 4 <= n <= max_n:
         raise ValueError(f"need 4 <= n <= {max_n} (2^n homology checks), got n={n}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     total = 1 << n
     empties = 0
     failures: list[int] = []

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -340,6 +341,8 @@ def test_complex_pentagon_human(capsys):
         ["involution", "5", "0"],
         ["dissections", "6", "4"],
         ["complex", "3"],
+        ["syt", "--shape", "3,2", "--n", "5"],
+        ["syt", "--shape", "3,2", "--d", "1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -378,8 +381,9 @@ def test_progress_goes_to_stderr_not_stdout(capsys):
     assert "checked" in err
 
 
-# sha256 of stdout for the commands that print vertex labels: how a label is
-# stored must not change a byte of what the CLI prints.
+# sha256 of stdout, in text and in --json form for every subcommand: neither
+# how a label is stored nor how a report is built may change a byte of what
+# the CLI prints.
 PINNED_STDOUT = {
     "complex 6 --json": "c47a11cc0a6eed1908cd120f6f6256cb4d38098a84900b68a728d7066cb31ce3",
     "minimality 7": "2c58cf633683ae08cf2cef5971ede4bd2d3eb2baac8cc1e030eab6a6f055cfdb",
@@ -387,6 +391,31 @@ PINNED_STDOUT = {
     "verify-resolution 6 --json":
         "10b66ceedb9b7b968fe0015dae72db6143a962083bcb3f0cf50df9599fc2ddd0",
     "morse 8 --extend --json": "6cda9cafb24050bc2f03461b12109d7eaa8bcc301b910b137138857b50db7315",
+    "fvector 8": "c29f5d3b777273d97d8ff16eed3961852e452537af15962065204a092dc5348f",
+    "fvector 8 --json": "d2cebe1e70bfa243febb145f6ff55177624684c1edb22b8ca30819433ecbf5ec",
+    "betti 9": "295da249945d1eae6cc9b92e86b741055e71cff954743010d3d5fdc53bd981e2",
+    "betti 9 --method hochster --json":
+        "e3eb8185b4f5b3d71c0c748c303d5d50534b35c936800ffc2c6782367aef97eb",
+    "tables": "41694551312324969648dae05e5934774e78c2207344fb9dfcad0aed972e6c27",
+    "tables --json": "648062c147ea5f5f8076f1053025b3cfdeb20c49148220df9464065711f57f21",
+    "dissections 9 3 --by-support --trees --json":
+        "71be1785a2951683d7293592a6e13c2f65cb1c68ad5fb2793bf198972d9ade76",
+    "dissections 8 5 --by-support --trees":
+        "7685a4a8b92d6c5ef11aa4bf78b77ab1e4d0b16b5a4f2401ce536d01cff899f6",
+    "complex 5": "fcef92dfd720091c2a671d84c44487ca4c5d7ec67709e05d170706d5282b9a5e",
+    "verify-resolution 6": "e3a395a3e735e115f41c8110400193534d11ea3a3964d3cc2015001952e10080",
+    "verify-resolution 5 --field rational --json":
+        "3aa942d0b930317736b521416a7338d7f481f37c40be2a5a4eae7079573d1936",
+    "minimality 6": "2203b6c300ba82f2b0f211c1ec3676200d8aa784d49cfb178928d5aa045a06c6",
+    "morse 7 --extend": "a1a528eef37a138e1a6665b12ebbce585f05868f0b23b2c19ba751d4f389a490",
+    "morse 6 --json": "4a19ce4dd91b1543baddc6c89e91cdc89e0d77357e70869e769d33993d8a39e2",
+    "syt --shape 3,3,1 --enumerate":
+        "951e024f31dd22204f457457de8de4ca639f4e02787f3f9c9c27857fe924d45e",
+    "syt --family assoc --n 6 --d 2 --json --enumerate":
+        "b0f208d3541a51a9197a9c58f0609f3516cd695a505ef0e1519eae5323b3deff",
+    "involution 7 3 --verify": "fc8ad57d6cfbff258e840e1f90ce79d4b8016f6bcb8d21b7de5dde25fdf9989b",
+    "involution 7 3 --verify --json":
+        "757bcb019070d4f71c3b048024910e2211e8fb2a3827d8c8a997b52e8e61b0b2",
 }
 
 
@@ -395,3 +424,15 @@ def test_label_output_matches_pinned_hash(capsys, command):
     code, out, _ = run(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def test_every_subcommand_is_pinned_in_text_and_json():
+    sub = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    pinned = [command.split() for command in PINNED_STDOUT]
+    text = {argv[0] for argv in pinned if "--json" not in argv}
+    as_json = {argv[0] for argv in pinned if "--json" in argv}
+    assert set(sub.choices) <= text
+    assert set(sub.choices) <= as_json

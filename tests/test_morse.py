@@ -3,7 +3,6 @@ import pytest
 from cycleres.associahedron import build
 from cycleres.betti import betti_closed_form
 from cycleres.morse import (
-    MatchingReport,
     MorseMatching,
     count_formulas,
     critical_cells,
@@ -186,5 +185,3 @@ def test_matching_normalization_and_json():
     assert m.matched_ids == frozenset({1, 3, 5, 9})
     assert len(m) == 2
     assert m.to_json() == [[1, 3], [5, 9]]
-    report = MatchingReport(True, ())
-    assert report.to_json() == {"ok": True, "problems": []}

@@ -112,6 +112,35 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_workers_capped_at_cpu_count(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(resolution, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(resolution, "_worker_check", None)
+    monkeypatch.setattr(resolution.os, "cpu_count", lambda: 2)
+    serial = verify_supports_resolution(4)
+    assert verify_supports_resolution(4, workers=100_000) == serial
+    assert verify_supports_resolution(4, workers=2) == serial
+    assert pools == [2, 2]
+    monkeypatch.setattr(resolution.os, "cpu_count", lambda: None)
+    assert verify_supports_resolution(4, workers=3) == serial
+    assert pools == [2, 2]
+
+
 def test_progress_callback_monotone():
     for workers in (1, 2):
         seen = []
