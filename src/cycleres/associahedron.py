@@ -240,12 +240,11 @@ def f_formula(n: int, d: int) -> int:
 def build(n: int) -> LabeledComplex:
     """Construct the full complex for the n-gon.
 
-    Enumerates every dissection by backtracking, sorts faces canonically
-    (dimension, then lexicographic dissection), assigns ids, and appends
-    the interior cell of dimension n - 3 labeled by all of 1..n.
+    Takes every dissection in the order ``iter_noncrossing`` yields it, which
+    is canonical (dimension, then lexicographic dissection), assigns ids, and
+    appends the interior cell of dimension n - 3 labeled by all of 1..n.
     """
-    diags = all_diagonals(n)
-    dissections = sorted(iter_noncrossing(diags, max_size=n - 3), key=lambda ds: (len(ds), ds))
+    dissections = iter_noncrossing(all_diagonals(n))
     faces = [Face(i, len(ds) - 1, ds, support(ds)) for i, ds in enumerate(dissections)]
     faces.append(Face(len(faces), n - 3, None, (1 << n) - 1))
     return LabeledComplex(n, faces)

@@ -385,7 +385,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload(), indent=2) if args.json else "\n".join(lines))
+    if args.json:
+        json.dump(payload(), sys.stdout, indent=2)
+        print()
+    else:
+        print("\n".join(lines))
     return 0 if ok else 1
 
 

@@ -35,10 +35,11 @@ class Field(Enum):
     def coerce(cls, value: "Field | str") -> "Field":
         if isinstance(value, Field):
             return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ValueError(f"unknown field {value!r}; use 'gf2' or 'rational'") from None
+        if isinstance(value, str):
+            for field in cls:
+                if field.value == value.lower():
+                    return field
+        raise ValueError(f"unknown field {value!r}; use 'gf2' or 'rational'")
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import dropwhile, takewhile
 from typing import NamedTuple
 
 Pair = tuple[int, int]
@@ -166,48 +167,41 @@ class Dissection:
         return is_tree(self.diagonals)
 
 
-def iter_noncrossing(
-    diagonals: Sequence[Diagonal],
-    *,
-    size: int | None = None,
-    max_size: int | None = None,
-) -> Iterator[tuple[Diagonal, ...]]:
-    """Yield non-crossing subsets of ``diagonals`` as lexicographic tuples.
+def iter_noncrossing(diagonals: Sequence[Diagonal]) -> Iterator[tuple[Diagonal, ...]]:
+    """Yield every non-crossing subset of ``diagonals``, by size, then lexicographically.
 
-    Backtracks over the given order with incremental crossing checks, so
-    partial crossing sets are pruned immediately.  Without ``size`` every
-    subset is yielded (the empty tuple first); with ``size`` only subsets
-    of exactly that cardinality appear.
+    Each subset is a tuple in the given order, the empty tuple first.  Bit j
+    of ``later[i]`` is set when diagonal j comes after diagonal i and does
+    not cross it.  A subset carries ``free``, the AND of its diagonals'
+    ``later`` masks, so the diagonals that extend it are the set bits of
+    ``free``; extending each subset of one size by them in ascending order
+    lists the next size lexicographically.  For ``all_diagonals(n)`` this is
+    the canonical face order of A_n.
     """
     m = len(diagonals)
-    depth = size if size is not None else max_size
-    chosen: list[Diagonal] = []
-
-    def walk(start: int) -> Iterator[tuple[Diagonal, ...]]:
-        if size is None:
-            yield tuple(chosen)
-        elif len(chosen) == size:
-            yield tuple(chosen)
-            return
-        if depth is not None and len(chosen) >= depth:
-            return
-        for i in range(start, m):
-            if size is not None and len(chosen) + (m - i) < size:
-                break
-            d = diagonals[i]
-            if all(not crosses(d, c) for c in chosen):
-                chosen.append(d)
-                yield from walk(i + 1)
-                chosen.pop()
-
-    return walk(0)
+    later = [
+        sum(1 << j for j in range(i + 1, m) if not crosses(diagonals[i], diagonals[j]))
+        for i in range(m)
+    ]
+    level = [((), (1 << m) - 1)]
+    while level:
+        bigger = []
+        for ds, free in level:
+            yield ds
+            while free:
+                low = free & -free
+                j = low.bit_length() - 1
+                bigger.append((ds + (diagonals[j],), free & later[j]))
+                free ^= low
+        level = bigger
 
 
 def iter_dissections(n: int, d: int) -> Iterator[tuple[Diagonal, ...]]:
-    """All dissections of the n-gon with exactly d diagonals."""
+    """All dissections of the n-gon with exactly d diagonals, lexicographically."""
     if not 0 <= d <= n - 3:
         raise ValueError(f"need 0 <= d <= n - 3, got d={d} for n={n}")
-    return iter_noncrossing(all_diagonals(n), size=d)
+    shorter_skipped = dropwhile(lambda ds: len(ds) < d, iter_noncrossing(all_diagonals(n)))
+    return takewhile(lambda ds: len(ds) == d, shorter_skipped)
 
 
 def count_by_support(n: int, d: int) -> dict[int, int]:

@@ -173,7 +173,8 @@ def verify_supports_resolution(
 
     Also verifies, for every sigma with 2 <= |sigma| < n, that the cone apex
     agrees with the homology verdict.  Reports failing sigmas rather than
-    raising; raises ValueError only on out-of-range n or workers < 1.  At most
+    raising; raises ValueError only on out-of-range n, workers < 1 or a field
+    that is neither a Field nor one of the names 'gf2' and 'rational'.  At most
     os.cpu_count() worker processes run; the verdicts do not depend on how many.
     """
     field = Field.coerce(field)

@@ -99,21 +99,19 @@ class Tableau:
         return "/".join("".join(str(v) for v in row) for row in self.rows)
 
 
-def enumerate_syt(
-    shape: Iterable[int], *, cap: int = DEFAULT_CELL_CAP
-) -> list[Tableau]:
+def enumerate_syt(shape: Iterable[int]) -> list[Tableau]:
     """All standard Young tableaux of the shape, sorted by reading word.
 
     Entries 1..N are placed in increasing order; a cell is available when
     it is the first free slot of its row and the cell above is filled.
-    Shapes with more than ``cap`` cells are refused (the count grows like
-    a factorial; use hook_count for counting).
+    Shapes with more than DEFAULT_CELL_CAP cells are refused (the count
+    grows like a factorial; use hook_count for counting).
     """
     s = _as_shape(shape)
     total = sum(s)
-    if total > cap:
+    if total > DEFAULT_CELL_CAP:
         raise ValueError(
-            f"shape {s} has {total} cells, above the enumeration cap {cap}"
+            f"shape {s} has {total} cells, above the enumeration cap {DEFAULT_CELL_CAP}"
         )
     fill = [0] * len(s)
     rows: list[list[int]] = [[] for _ in s]
@@ -158,9 +156,9 @@ def syzygy_count(n: int, d: int) -> int:
     return hook_count(syzygy_shape(n, d))
 
 
-def enumerate_family(n: int, d: int, *, cap: int = DEFAULT_CELL_CAP) -> list[Tableau]:
+def enumerate_family(n: int, d: int) -> list[Tableau]:
     """All associahedron tableaux for (n, d) in canonical order."""
-    return enumerate_syt(associahedron_shape(n, d), cap=cap)
+    return enumerate_syt(associahedron_shape(n, d))
 
 
 def family_params(shape: Iterable[int]) -> tuple[int, int]:

@@ -386,6 +386,7 @@ def test_progress_goes_to_stderr_not_stdout(capsys):
 # the CLI prints.
 PINNED_STDOUT = {
     "complex 6 --json": "c47a11cc0a6eed1908cd120f6f6256cb4d38098a84900b68a728d7066cb31ce3",
+    "complex 8 --json": "3f2f18c172349408ed45bad89a68357f794403fe1e069e9b9b3c632270d10fcf",
     "minimality 7": "2c58cf633683ae08cf2cef5971ede4bd2d3eb2baac8cc1e030eab6a6f055cfdb",
     "minimality 7 --json": "418b41c09e852d14b41acf40e0af2bb37361453616617a635b1bd0aa4db4e6cb",
     "verify-resolution 6 --json":
@@ -402,6 +403,8 @@ PINNED_STDOUT = {
         "71be1785a2951683d7293592a6e13c2f65cb1c68ad5fb2793bf198972d9ade76",
     "dissections 8 5 --by-support --trees":
         "7685a4a8b92d6c5ef11aa4bf78b77ab1e4d0b16b5a4f2401ce536d01cff899f6",
+    "dissections 11 4 --by-support --trees":
+        "044de82aa9266f58aeff80fc63a4b06ffbccd96523f10634b23b8015a4ccdf2b",
     "complex 5": "fcef92dfd720091c2a671d84c44487ca4c5d7ec67709e05d170706d5282b9a5e",
     "verify-resolution 6": "e3a395a3e735e115f41c8110400193534d11ea3a3964d3cc2015001952e10080",
     "verify-resolution 5 --field rational --json":

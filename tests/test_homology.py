@@ -49,6 +49,10 @@ def test_field_coercion():
     assert Field.coerce(Field.GF2) is Field.GF2
     with pytest.raises(ValueError):
         Field.coerce("gf3")
+    with pytest.raises(ValueError):
+        Field.coerce(None)
+    with pytest.raises(ValueError):
+        Field.coerce(2)
 
 
 def test_rank_gf2_basics():

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from cycleres.associahedron import f_formula
 from cycleres.polygon import (
     Diagonal,
     Dissection,
@@ -152,6 +154,40 @@ def test_dissection_canonical_order_and_json():
 def test_iter_noncrossing_yields_empty_first():
     first = next(iter_noncrossing(all_diagonals(6)))
     assert first == ()
+
+
+def _pairwise_noncrossing(ds):
+    return not any(crosses(d1, d2) for d1, d2 in itertools.combinations(ds, 2))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_iter_noncrossing_matches_filtered_combinations(n):
+    # independent oracle: every k-subset, in combinations' lexicographic
+    # order, kept when pairwise non-crossing; k runs one past the largest face
+    diags = all_diagonals(n)
+    oracle = [
+        ds for k in range(n - 1) for ds in itertools.combinations(diags, k)
+        if _pairwise_noncrossing(ds)
+    ]
+    assert list(iter_noncrossing(diags)) == oracle
+    assert max(len(ds) for ds in oracle) == n - 3
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_iter_noncrossing_is_canonical_with_formula_counts(n):
+    faces = list(iter_noncrossing(all_diagonals(n)))
+    keys = [(len(ds), ds) for ds in faces]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    assert all(_pairwise_noncrossing(ds) for ds in faces)
+    sizes = Counter(len(ds) for ds in faces)
+    assert sizes == {d: f_formula(n, d) for d in range(n - 2)}
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_iter_dissections_is_the_size_d_slice(n):
+    faces = list(iter_noncrossing(all_diagonals(n)))
+    for d in range(n - 2):
+        assert list(iter_dissections(n, d)) == [ds for ds in faces if len(ds) == d]
 
 
 def test_dissection_counts_small():

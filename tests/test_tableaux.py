@@ -79,7 +79,7 @@ def test_enumerate_five_tableaux_in_reading_order():
 
 
 def test_enumerate_matches_hook_count_small_shapes():
-    shapes = [(1,), (3,), (2, 1), (2, 2), (3, 2, 1), (4, 4), (3, 3, 2), (2, 2, 2, 2)]
+    shapes = [(1,), (3,), (2, 1), (2, 2), (3, 2, 1), (4, 4), (3, 3, 2), (2, 2, 2, 2), (7, 7)]
     for shape in shapes:
         assert len(enumerate_syt(shape)) == hook_count(shape)
 
@@ -87,7 +87,6 @@ def test_enumerate_matches_hook_count_small_shapes():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_syt((8, 7))
-    assert len(enumerate_syt((8, 7), cap=15)) == hook_count((8, 7))
 
 
 def test_family_shapes():
