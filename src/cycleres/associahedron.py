@@ -53,7 +53,7 @@ class Face:
 
 
 # What a restriction derives from its kept faces on first read.
-_DERIVED = frozenset({"faces", "covers", "_by_diagonals", "_by_dim"})
+_DERIVED = frozenset({"faces", "_below", "_by_diagonals", "_by_dim"})
 
 
 class LabeledComplex:
@@ -61,21 +61,22 @@ class LabeledComplex:
 
     Faces are stored in canonical order (by dimension, then
     lexicographically by dissection; the interior cell last) and ids
-    equal list positions.  The constructor derives ``covers``, every
-    pair (F, G) with F a facet of G, sorted: each simplicial face covers
-    its dissection minus one diagonal, and the interior cell covers
-    every triangulation.  A missing subface raises ValueError, so every
-    complex built from a face list is closed under subfaces.
+    equal list positions.  The constructor derives the cover relation
+    once, as the facet table ``covers_below()``: row i lists the faces
+    that face i covers.  A simplicial face covers its dissection minus
+    one diagonal, and the interior cell covers every triangulation.  A
+    missing subface raises ValueError, so every complex built from a
+    face list is closed under subfaces.  ``covers`` lists the same
+    relation as sorted pairs, derived from the table on each read.
 
     A restriction (see ``restrict``) is built from its ``parent`` and
     ``kept``, the kept positions in each ``parent.faces_of_dim(d)``.  It
-    derives its renumbered ``faces``, ``covers`` and lookups only when
+    derives its renumbered ``faces``, facet table and lookups only when
     one of them is read.
     """
 
     parent: LabeledComplex | None = None
     kept: dict[int, list[int]] | None = None
-    _below: dict[int, list[int]] | None = None
     # label -> dimension -> positions in faces_of_dim, built by the first restrict
     _labels: dict[int, dict[int, list[int]]] | None = None
     # the verified integer chain complex, built by homology on first use
@@ -108,21 +109,22 @@ class LabeledComplex:
         for f in faces:
             by_dim[f.dim].append(f)
         self._by_dim = dict(by_dim)
-        covers: list[tuple[int, int]] = []
+        below: list[list[int]] = []
         for f in faces:
             ds = f.diagonals
             if ds is None:
-                covers.extend((g.id, f.id) for g in self.facets())
+                below.append([g.id for g in self.facets()])
                 continue
+            row = []
             for i in range(len(ds)):
                 sub = ds[:i] + ds[i + 1 :]
                 lo = self._by_diagonals.get(sub)
                 if lo is None:
                     missing = ",".join(str(d) for d in sub)
                     raise ValueError(f"face {f} lacks its subface {{{missing}}}")
-                covers.append((lo, f.id))
-        covers.sort()
-        self.covers = covers
+                row.append(lo)
+            below.append(row)
+        self._below = below
 
     def _counts(self) -> dict[int, int]:
         """Faces per dimension, ascending; a restriction counts without deriving."""
@@ -138,13 +140,14 @@ class LabeledComplex:
         """
         if self._labels is None:
             faces = self.faces
-            for lo, hi in self.covers:
-                f, g = faces[lo], faces[hi]
-                if f.label & ~g.label:
-                    raise ValueError(
-                        f"cover {f} < {g} is not label-monotone: label "
-                        f"{vertices(f.label)} is not inside {vertices(g.label)}"
-                    )
+            for g, row in zip(faces, self._below):
+                for lo in row:
+                    f = faces[lo]
+                    if f.label & ~g.label:
+                        raise ValueError(
+                            f"cover {f} < {g} is not label-monotone: label "
+                            f"{vertices(f.label)} is not inside {vertices(g.label)}"
+                        )
             index: dict[int, dict[int, list[int]]] = defaultdict(dict)
             for d, fs in self._by_dim.items():
                 for pos, f in enumerate(fs):
@@ -195,18 +198,27 @@ class LabeledComplex:
         """Simplicial top faces: the triangulations, each with n - 3 diagonals."""
         return self.faces_of_dim(self.n - 4)
 
-    def covers_below(self) -> dict[int, list[int]]:
-        """Map from each face id to the ids of the faces it covers."""
-        if self._below is None:
-            below: dict[int, list[int]] = defaultdict(list)
-            for lo, hi in self.covers:
-                below[hi].append(lo)
-            self._below = dict(below)
+    def covers_below(self) -> list[list[int]]:
+        """The facet table, indexed by face id: the ids of the faces each face covers.
+
+        A simplicial face's row holds its dissection minus its i-th
+        diagonal at index i; the interior cell's row holds the
+        triangulations in id order.  The table is the stored cover
+        relation, not a copy: callers must not change it.
+        """
         return self._below
+
+    @property
+    def covers(self) -> list[tuple[int, int]]:
+        """Every pair (F, G) with F a facet of G, sorted.
+
+        Derived from the facet table on each read; nothing else stores it.
+        """
+        return sorted((lo, hi) for hi, row in enumerate(self._below) for lo in row)
 
     def maximal_faces(self) -> list[Face]:
         """Faces with no cover above them (the interior cell counts)."""
-        lowers = {lo for lo, _ in self.covers}
+        lowers = {lo for row in self._below for lo in row}
         return [f for f in self.faces if f.id not in lowers and f.dim >= 0]
 
     def f_vector(self) -> list[int]:
@@ -259,7 +271,7 @@ def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
     restriction repeats the closure check.  The kept faces are the union
     of the label buckets inside sigma; the result records X as its
     ``parent`` and the kept positions per dimension as ``kept``, and
-    derives its faces, covers and lookups only when they are read.  The
+    derives its faces, facet table and lookups only when they are read.  The
     interior cell survives only when sigma is all of 1..n.
     """
     sig = set(sigma)

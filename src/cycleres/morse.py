@@ -9,7 +9,7 @@ faces are the critical cells.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -120,12 +120,12 @@ def _find_cycle(
     return None
 
 
-def _pair_successors(match_at_lower: dict[int, int], below: dict[int, list[int]]):
+def _pair_successors(match_at_lower: dict[int, int], below: list[list[int]]):
     """Pair-graph step: up through a lower face's match, down to another matched lower."""
 
     def step(lower: int):
         upper = match_at_lower[lower]
-        return (b for b in below.get(upper, ()) if b != lower and b in match_at_lower)
+        return (b for b in below[upper] if b != lower and b in match_at_lower)
 
     return step
 
@@ -134,14 +134,19 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     """Check covers, single use, label equality, and acyclicity.
 
     With full_graph=True the acyclicity verdict is re-derived from the whole
-    oriented Hasse diagram instead of just the matched-pair graph.
+    oriented Hasse diagram instead of just the matched-pair graph.  A pair
+    with an id outside the complex is reported as not a cover; the label
+    and acyclicity checks see only the pairs that are covers.
     """
     problems = []
-    cover_set = set(X.covers)
+    below = X.covers_below()
+    covers = []
     for lo, hi in m.pairs:
-        if (lo, hi) not in cover_set:
+        if not (0 <= hi < len(below) and lo in below[hi]):
             problems.append(f"pair ({lo},{hi}) is not a cover relation")
-        elif X.face(lo).label != X.face(hi).label:
+            continue
+        covers.append((lo, hi))
+        if X.face(lo).label != X.face(hi).label:
             problems.append(
                 f"pair ({lo},{hi}) joins labels {vertices(X.face(lo).label)}"
                 f" != {vertices(X.face(hi).label)}"
@@ -150,20 +155,21 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     for fid, k in sorted(use.items()):
         if k > 1:
             problems.append(f"face {fid} appears in {k} pairs")
-    match_at_lower = dict(m.pairs)
-    step = _pair_successors(match_at_lower, X.covers_below())
+    match_at_lower = dict(covers)
+    step = _pair_successors(match_at_lower, below)
     cycle = _find_cycle(sorted(match_at_lower), step)
     if cycle is not None:
         problems.append("directed cycle through lower faces " + "->".join(map(str, cycle)))
     if full_graph:
-        matched = set(m.pairs)
-        adj: dict[int, list[int]] = defaultdict(list)
-        for lo, hi in X.covers:
-            if (lo, hi) in matched:
-                adj[lo].append(hi)
-            else:
-                adj[hi].append(lo)
-        cycle = _find_cycle((f.id for f in X.faces), lambda v: adj.get(v, ()))
+        matched = set(covers)
+        adj: list[list[int]] = [[] for _ in below]
+        for hi, row in enumerate(below):
+            for lo in row:
+                if (lo, hi) in matched:
+                    adj[lo].append(hi)
+                else:
+                    adj[hi].append(lo)
+        cycle = _find_cycle(range(len(adj)), adj.__getitem__)
         if cycle is not None:
             problems.append("oriented Hasse cycle " + "->".join(map(str, cycle)))
     return MatchingReport(not problems, tuple(problems))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import dropwhile, takewhile
 from typing import NamedTuple
@@ -124,47 +123,6 @@ def is_tree(diagonals: Iterable[Pair]) -> bool:
             if reached & m:
                 reached |= m
     return reached == verts
-
-
-@dataclass(frozen=True)
-class Dissection:
-    """A duplicate-free set of pairwise non-crossing diagonals of the n-gon.
-
-    Diagonals are normalized to lexicographic order at construction and
-    validity (range, non-adjacency, pairwise non-crossing) is checked.
-    """
-
-    n: int
-    diagonals: tuple[Diagonal, ...]
-
-    def __post_init__(self) -> None:
-        ds = tuple(sorted(diagonal(a, b, self.n) for a, b in self.diagonals))
-        object.__setattr__(self, "diagonals", ds)
-        if len(set(ds)) != len(ds):
-            raise ValueError("duplicate diagonals in dissection")
-        for i, d1 in enumerate(ds):
-            for d2 in ds[i + 1 :]:
-                if crosses(d1, d2):
-                    raise ValueError(f"diagonals {d1} and {d2} cross")
-
-    def __len__(self) -> int:
-        return len(self.diagonals)
-
-    def __iter__(self) -> Iterator[Diagonal]:
-        return iter(self.diagonals)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(d) for d in self.diagonals) + "}"
-
-    @property
-    def support(self) -> int:
-        return support(self.diagonals)
-
-    def classify(self) -> SupportClass:
-        return classify(self.diagonals)
-
-    def is_tree(self) -> bool:
-        return is_tree(self.diagonals)
 
 
 def iter_noncrossing(diagonals: Sequence[Diagonal]) -> Iterator[tuple[Diagonal, ...]]:

@@ -419,6 +419,8 @@ PINNED_STDOUT = {
     "involution 7 3 --verify": "fc8ad57d6cfbff258e840e1f90ce79d4b8016f6bcb8d21b7de5dde25fdf9989b",
     "involution 7 3 --verify --json":
         "757bcb019070d4f71c3b048024910e2211e8fb2a3827d8c8a997b52e8e61b0b2",
+    "morse 9 --extend --json": "db06c54ab0130bde8faad7a8ec0e0446c92d99fe2c9352f6a6ed0874e0f2a89d",
+    "minimality 8 --json": "9f2df3c26d6c01d3360dbc51d696c05e43f47e6b0ed96e18731cf3faa42ebeac",
 }
 
 

@@ -136,6 +136,25 @@ def test_interior_column_signs_cancel_over_rationals():
     assert {c for _, c in col} == {1, -1}
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_boundary_columns_match_the_facet_table(n):
+    # homology derives each boundary from the diagonals on its own; map its
+    # columns back to face ids and compare them with the stored covers
+    X = build(n)
+    cc = chain_complex(X, "rational")
+    below = X.covers_below()
+    assert sorted(cc.columns) == list(range(n - 2))
+    for k, cols in cc.columns.items():
+        lower = X.faces_of_dim(k - 1)
+        for face, col in zip(X.faces_of_dim(k), cols, strict=True):
+            rows = [lower[p].id for p, _ in col]
+            if face.is_interior:
+                assert rows == [f.id for f in X.facets()]
+            else:
+                assert rows == below[face.id]
+                assert [c for _, c in col] == [(-1) ** i for i in range(len(col))]
+
+
 def test_restriction_homology():
     X = build(6)
     assert is_acyclic(restrict(X, {1, 2, 3, 4}), Field.GF2)

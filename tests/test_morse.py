@@ -82,6 +82,22 @@ def test_validate_rejects_non_cover():
     assert any("not a cover" in p for p in report.problems)
 
 
+def test_validate_reports_foreign_ids_as_non_covers():
+    X = build(6)
+    m = MorseMatching(((0, len(X)), (3, -1)))
+    expected = (
+        f"pair (0,{len(X)}) is not a cover relation",
+        "pair (3,-1) is not a cover relation",
+    )
+    assert validate(m, X).problems == expected
+    assert validate(m, X, full_graph=True).problems == expected
+    # id -1 must not stand for the interior cell, whose row lists the triangulations
+    t = X.facets()[0].id
+    assert validate(MorseMatching(((t, -1),)), X).problems == (
+        f"pair ({t},-1) is not a cover relation",
+    )
+
+
 def test_validate_rejects_double_use():
     X = build(6)
     lo = X.face_by_diagonals([(1, 3), (4, 6)]).id

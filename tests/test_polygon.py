@@ -6,7 +6,6 @@ import pytest
 from cycleres.associahedron import f_formula
 from cycleres.polygon import (
     Diagonal,
-    Dissection,
     SupportClass,
     all_diagonals,
     classify,
@@ -131,24 +130,6 @@ def test_is_tree_matches_networkx():
             g = nx.Graph()
             g.add_edges_from(ds)
             assert is_tree(ds) == nx.is_tree(g)
-
-
-def test_dissection_validation():
-    d = Dissection(6, ((1, 3), (4, 6)))
-    assert d.diagonals == (Diagonal(1, 3), Diagonal(4, 6))
-    assert d.support == 0b101101
-    assert d.classify() == SupportClass.SUPERPROPER
-    with pytest.raises(ValueError):
-        Dissection(6, ((1, 3), (2, 6)))
-    with pytest.raises(ValueError):
-        Dissection(6, ((1, 3), (1, 3)))
-    with pytest.raises(ValueError):
-        Dissection(6, ((1, 2),))
-
-
-def test_dissection_canonical_order_and_json():
-    d = Dissection(6, ((4, 6), (1, 3)))
-    assert str(d) == "{1-3,4-6}"
 
 
 def test_iter_noncrossing_yields_empty_first():
