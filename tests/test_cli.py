@@ -421,6 +421,10 @@ PINNED_STDOUT = {
         "757bcb019070d4f71c3b048024910e2211e8fb2a3827d8c8a997b52e8e61b0b2",
     "morse 9 --extend --json": "db06c54ab0130bde8faad7a8ec0e0446c92d99fe2c9352f6a6ed0874e0f2a89d",
     "minimality 8 --json": "9f2df3c26d6c01d3360dbc51d696c05e43f47e6b0ed96e18731cf3faa42ebeac",
+    "verify-resolution 8 --field rational":
+        "b6398ae30fd2747982cfd007d9cd4517d475d3cc92ec696b9bd24aada7bd37cf",
+    "verify-resolution 7 --json":
+        "0dfcf971f9cf28beff2504f4f6544cee3ce8b0ec55846621ecd8d40aed24127c",
 }
 
 
