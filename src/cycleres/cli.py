@@ -299,7 +299,7 @@ def _cmd_dissections(args) -> Result:
 def _cmd_complex(args) -> Result:
     X = build(args.n)
     lines = [
-        f"n={args.n}: {len(X)} faces, {len(X.covers)} covers, dim {X.dim}",
+        f"n={args.n}: {len(X)} faces, {sum(map(len, X.covers_below()))} covers, dim {X.dim}",
         f"f({args.n},d-1): " + _row(X.f_vector()),
     ]
     return True, X.to_json, lines

@@ -8,17 +8,16 @@ their largest index: bitmask rows over GF(2), and over the rationals
 sparse ``{index: value}`` rows with fraction-free integer updates and
 division by the content.  No floating point, no modular shortcuts.
 
-The complex of a restriction is never assembled on its own: the
-parent's integer chain complex is assembled once, with dd = 0 checked
-over the integers, and the restriction ranks the parent's columns at
-its kept positions (``Subcomplex``).
+A chain complex is an integer object, one per face list: it is
+assembled on first use, with dd = 0 checked once over the integers, and
+the field is an argument of each rank.  A restriction has no complex of
+its own; it ranks its parent's columns at its kept positions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from enum import Enum
-from functools import cached_property
 from math import gcd
 
 from .associahedron import LabeledComplex
@@ -99,36 +98,23 @@ def rank_int(columns: list[Column]) -> int:
 
 
 class ChainComplex:
-    """Augmented chain complex with exact boundary maps.
+    """Augmented integer chain complex with exact boundary maps.
 
     ``bases[k]`` lists the cell keys in dimension k; ``columns[k]`` holds
-    one sparse boundary column per k-cell, mapping into dimension k - 1.
-    The identity boundary-of-boundary = 0 is verified at construction in
-    the complex's field.
+    one sparse integer boundary column per k-cell, mapping into dimension
+    k - 1.  The identity boundary-of-boundary = 0 is verified once, over
+    the integers, at construction, which implies it in every field.  The
+    field is chosen per rank.
     """
 
-    def __init__(
-        self,
-        field: Field,
-        bases: dict[int, list],
-        columns: dict[int, list[Column]],
-    ) -> None:
-        self.field = Field.coerce(field)
+    def __init__(self, bases: dict[int, list], columns: dict[int, list[Column]]) -> None:
         self.bases = bases
         self.columns = columns
         self.dims = sorted(bases)
         self._gf2: dict[int, list[int]] = {}
         self._verify_dd_zero()
 
-    @property
-    def top_dim(self) -> int:
-        return self.dims[-1]
-
-    def rank(self, k: int) -> int:
-        """Rank of the boundary map out of dimension k."""
-        return self._rank_at(self.field, k)
-
-    def _rank_at(self, field: Field, k: int, positions: Iterable[int] | None = None) -> int:
+    def rank(self, k: int, field: Field | str, positions: Iterable[int] | None = None) -> int:
         """Rank over field of the k-boundary columns at positions (default all).
 
         Rows keep this complex's indices.  The GF(2) bitmask of each
@@ -137,20 +123,31 @@ class ChainComplex:
         if k not in self.columns:
             return 0
         cols = self.columns[k]
-        if field is Field.RATIONAL:
+        if Field.coerce(field) is Field.RATIONAL:
             return rank_int(cols if positions is None else [cols[i] for i in positions])
         rows = self._gf2.get(k)
         if rows is None:
             rows = self._gf2[k] = [sum(1 << i for i, c in col if c % 2) for col in cols]
         return rank_gf2(rows if positions is None else (rows[i] for i in positions))
 
-    def _size(self, k: int) -> int:
-        return len(self.bases[k])
+    def reduced_betti(
+        self, field: Field | str, kept: dict[int, list[int]] | None = None
+    ) -> list[int]:
+        """Dimensions of reduced homology over field in degrees 0..top.
 
-    def reduced_betti(self) -> list[int]:
-        """Dimensions of reduced homology in degrees 0..top_dim."""
-        ranks = [self.rank(k) for k in range(self.top_dim + 2)]
-        return [self._size(i) - ranks[i] - ranks[i + 1] for i in range(self.top_dim + 1)]
+        ``kept[k]``, when given, lists positions in ``bases[k]`` that span
+        a closed subcomplex: the kept k-columns have all their rows at
+        ``kept[k - 1]``.  Its chains are this complex's at those
+        positions, so dd = 0 holds there too, and each of its ranks is
+        that of the kept columns on this complex's rows.
+        """
+        cells = self.bases if kept is None else kept
+        top = max(cells)
+        ranks = [
+            self.rank(k, field, None if kept is None else kept[k]) if k in cells else 0
+            for k in range(top + 2)
+        ]
+        return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(top + 1)]
 
     def _verify_dd_zero(self) -> None:
         for k in self.dims:
@@ -162,52 +159,8 @@ class ChainComplex:
                 for i, c in col:
                     for i2, c2 in lower_cols[i]:
                         acc[i2] = acc.get(i2, 0) + c * c2
-                for v in acc.values():
-                    bad = v % 2 if self.field is Field.GF2 else v
-                    if bad:
-                        raise RuntimeError(
-                            f"boundary of boundary nonzero in dimension {k}"
-                        )
-
-
-class Subcomplex(ChainComplex):
-    """Chain complex of a closed subcomplex: ``parent``'s cells at ``kept[k]``.
-
-    ``kept[k]`` lists positions in ``parent.bases[k]``.  The parent's
-    dd = 0 was verified when it was built, and the boundary columns of a
-    closed subcomplex only touch kept rows, so dd = 0 holds here and each
-    rank is that of the parent's columns at the kept positions, on the
-    parent's row indices.  ``bases`` and ``columns`` (renumbered to index
-    the lower basis, as in ChainComplex) are derived when first read.
-    """
-
-    def __init__(self, field: Field, parent: ChainComplex, kept: dict[int, list[int]]) -> None:
-        self.field = Field.coerce(field)
-        self.parent = parent
-        self.kept = kept
-        self.dims = sorted(kept)
-
-    @cached_property
-    def bases(self) -> dict[int, list]:
-        return {k: [self.parent.bases[k][i] for i in ps] for k, ps in self.kept.items()}
-
-    @cached_property
-    def columns(self) -> dict[int, list[Column]]:
-        out: dict[int, list[Column]] = {}
-        for k, ps in self.kept.items():
-            if k - 1 in self.kept:
-                row = {p: i for i, p in enumerate(self.kept[k - 1])}
-                cols = self.parent.columns[k]
-                out[k] = [[(row[p], c) for p, c in cols[j]] for j in ps]
-        return out
-
-    def rank(self, k: int) -> int:
-        if k not in self.kept:
-            return 0
-        return self.parent._rank_at(self.field, k, self.kept[k])
-
-    def _size(self, k: int) -> int:
-        return len(self.kept[k])
+                if any(acc.values()):
+                    raise RuntimeError(f"boundary of boundary nonzero in dimension {k}")
 
 
 def _simplex_columns(
@@ -291,21 +244,18 @@ def _assemble(X: LabeledComplex) -> tuple[dict[int, list], dict[int, list[Column
     return bases, columns
 
 
-def chain_complex(X: LabeledComplex, field: Field | str) -> ChainComplex:
-    """Augmented chain complex of a labeled complex, interior cell included.
+def chain_complex(X: LabeledComplex) -> ChainComplex:
+    """Integer chain complex of X's face list, interior cell included.
 
-    Bases follow the complex's canonical face order.  A restriction's
-    complex is a ``Subcomplex`` of its parent's integer chain complex,
-    which is assembled, and checked for dd = 0 over the integers, on the
-    first call for any restriction of that parent and kept on it.
+    Bases follow the canonical face order.  A restriction has no face
+    list of its own, so it gets its parent's complex and ranks it at
+    ``X.kept``.  The complex is assembled, and checked for dd = 0 over
+    the integers, on the first call and kept on the face list's owner.
     """
-    field = Field.coerce(field)
-    P = X.parent
-    if P is None:
-        return ChainComplex(field, *_assemble(X))
+    P = X if X.parent is None else X.parent
     if P._chains is None:
-        P._chains = ChainComplex(Field.RATIONAL, *_assemble(P))
-    return Subcomplex(field, P._chains, X.kept)
+        P._chains = ChainComplex(*_assemble(P))
+    return P._chains
 
 
 def simplicial_reduced_betti(
@@ -327,15 +277,15 @@ def simplicial_reduced_betti(
     cells_by_dim: dict[int, list[tuple]] = {}
     for cell in sorted(closure, key=lambda c: (len(c), c)):
         cells_by_dim.setdefault(len(cell) - 1, []).append(cell)
-    cc = ChainComplex(Field.coerce(field), dict(cells_by_dim), _simplex_columns(cells_by_dim))
-    return cc.reduced_betti()
+    cc = ChainComplex(dict(cells_by_dim), _simplex_columns(cells_by_dim))
+    return cc.reduced_betti(field)
 
 
 def reduced_betti_numbers(X: LabeledComplex, field: Field | str) -> list[int]:
     """Reduced Betti numbers of X in degrees 0..dim(X); [] when X is empty."""
     if X.is_empty:
         return []
-    return chain_complex(X, field).reduced_betti()
+    return chain_complex(X).reduced_betti(field, X.kept)
 
 
 def is_acyclic(X: LabeledComplex, field: Field | str) -> bool:
