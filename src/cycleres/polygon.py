@@ -134,22 +134,25 @@ def iter_noncrossing(diagonals: Sequence[Diagonal]) -> Iterator[tuple[Diagonal, 
     ``later`` masks, so the diagonals that extend it are the set bits of
     ``free``; extending each subset of one size by them in ascending order
     lists the next size lexicographically.  For ``all_diagonals(n)`` this is
-    the canonical face order of A_n.
+    the canonical face order of A_n.  A subset is yielded as it is made, so
+    stopping at the first subset of a size leaves the rest of it unbuilt.
     """
     m = len(diagonals)
     later = [
         sum(1 << j for j in range(i + 1, m) if not crosses(diagonals[i], diagonals[j]))
         for i in range(m)
     ]
+    yield ()
     level = [((), (1 << m) - 1)]
     while level:
         bigger = []
         for ds, free in level:
-            yield ds
             while free:
                 low = free & -free
                 j = low.bit_length() - 1
-                bigger.append((ds + (diagonals[j],), free & later[j]))
+                extended = ds + (diagonals[j],)
+                yield extended
+                bigger.append((extended, free & later[j]))
                 free ^= low
         level = bigger
 

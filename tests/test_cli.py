@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -445,3 +449,24 @@ def test_every_subcommand_is_pinned_in_text_and_json():
     as_json = {argv[0] for argv in pinned if "--json" in argv}
     assert set(sub.choices) <= text
     assert set(sub.choices) <= as_json
+
+
+def test_json_into_a_pipe_closed_early_is_quiet():
+    # complex 8 --json prints about 390 kB, far more than a pipe buffers, so
+    # the writer is still blocked when the reader closes its end
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycleres.cli", "complex", "8", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = [proc.stdout.readline(), proc.stdout.readline()]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head == [b"{\n", b'  "n": 8,\n']
+    assert err == b""

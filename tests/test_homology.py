@@ -7,6 +7,7 @@ from cycleres.associahedron import Face, LabeledComplex, boundary_complex, build
 from cycleres.homology import (
     ChainComplex,
     Field,
+    _simplex_columns,
     chain_complex,
     is_acyclic,
     rank_gf2,
@@ -39,8 +40,38 @@ def _rank_fraction(rows):
     return rank
 
 
+def _rank_mod2(rows):
+    """Rank over GF(2) by dense row reduction of the entries mod 2."""
+    m = [[x % 2 for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def _sparse(rows):
     return [[(i, x) for i, x in enumerate(r) if x] for r in rows]
+
+
+def _random_matrices(seed):
+    """Dense integer matrices, up to 7 x 7, then mostly zero up to 12 x 12."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        yield [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+    for _ in range(150):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        yield [
+            [rng.randint(-4, 4) if rng.random() < 0.25 else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
 
 
 def test_field_coercion():
@@ -56,41 +87,40 @@ def test_field_coercion():
 
 
 def test_rank_gf2_basics():
-    assert rank_gf2([]) == 0
-    assert rank_gf2([0b101, 0b011, 0b110]) == 2
-    assert rank_gf2([0b1, 0b10, 0b100]) == 3
-    assert rank_gf2([0b11, 0b11]) == 1
+    # each kernel returns its pivot rows, keyed by their largest index
+    assert rank_gf2([]) == set()
+    assert rank_gf2(_sparse([[1, 0, 1], [1, 1, 0], [0, 1, 1]])) == {1, 2}
+    assert len(rank_gf2(_sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == 3
+    assert len(rank_gf2(_sparse([[1, 1], [1, 1]]))) == 1
+    # only odd coefficients survive, whatever their sign
+    assert rank_gf2(_sparse([[2, -1], [-3, 4]])) == {0, 1}
+    assert rank_gf2([[], [(0, 2), (1, -4)], [(1, 3)]]) == {1}
 
 
 def test_rank_int_basics():
-    assert rank_int([]) == 0
-    assert rank_int(_sparse([[0, 0], [0, 0]])) == 0
-    assert rank_int(_sparse([[1, 2], [2, 4]])) == 1
-    assert rank_int(_sparse([[1, 2], [2, 5]])) == 2
+    assert rank_int([]) == set()
+    assert len(rank_int(_sparse([[0, 0], [0, 0]]))) == 0
+    assert len(rank_int(_sparse([[1, 2], [2, 4]]))) == 1
+    assert rank_int(_sparse([[1, 2], [2, 5]])) == {0, 1}
     # rank 2 over Q but rank 1 over GF(2)
-    assert rank_int(_sparse([[1, 1], [1, -1]])) == 2
-    assert rank_gf2([0b11, 0b11]) == 1
+    assert len(rank_int(_sparse([[1, 1], [1, -1]]))) == 2
+    assert len(rank_gf2(_sparse([[1, 1], [1, -1]]))) == 1
     # non-unit pivots: the first needs division by the content
-    assert rank_int(_sparse([[2, 4], [3, 6]])) == 1
-    assert rank_int(_sparse([[2, 3], [4, 5]])) == 2
+    assert len(rank_int(_sparse([[2, 4], [3, 6]]))) == 1
+    assert len(rank_int(_sparse([[2, 3], [4, 5]]))) == 2
     # an all-zero column, empty or with explicit zeros
-    assert rank_int([[], [(0, 0), (1, 0)], [(1, 3)]]) == 1
+    assert rank_int([[], [(0, 0), (1, 0)], [(1, 3)]]) == {1}
 
 
 def test_rank_int_matches_fraction_elimination():
-    rng = random.Random(20240817)
-    for _ in range(150):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-        assert rank_int(_sparse(rows)) == _rank_fraction(rows)
-    # mostly zero, up to 12 x 12: fill-in and non-unit pivots
-    for _ in range(150):
-        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
-        rows = [
-            [rng.randint(-4, 4) if rng.random() < 0.25 else 0 for _ in range(nc)]
-            for _ in range(nr)
-        ]
-        assert rank_int(_sparse(rows)) == _rank_fraction(rows)
+    # mostly zero matrices bring fill-in and non-unit pivots
+    for rows in _random_matrices(20240817):
+        assert len(rank_int(_sparse(rows))) == _rank_fraction(rows)
+
+
+def test_rank_gf2_matches_dense_mod2_elimination():
+    for rows in _random_matrices(20261018):
+        assert len(rank_gf2(_sparse(rows))) == _rank_mod2(rows)
 
 
 def test_pentagon_boundary_rank():
@@ -136,21 +166,19 @@ def test_interior_column_signs_cancel_over_rationals():
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_boundary_columns_match_the_facet_table(n):
-    # homology derives each boundary from the diagonals on its own; map its
-    # columns back to face ids and compare them with the stored covers
+    # homology reads each boundary from the facet table; derive the simplicial
+    # ones from the diagonals alone and compare
     X = build(n)
     cc = chain_complex(X)
-    below = X.covers_below()
     assert sorted(cc.columns) == list(range(n - 2))
-    for k, cols in cc.columns.items():
-        lower = X.faces_of_dim(k - 1)
-        for face, col in zip(X.faces_of_dim(k), cols, strict=True):
-            rows = [lower[p].id for p, _ in col]
-            if face.is_interior:
-                assert rows == [f.id for f in X.facets()]
-            else:
-                assert rows == below[face.id]
-                assert [c for _, c in col] == [(-1) ** i for i in range(len(col))]
+    simplices = {k: [f.diagonals for f in X.faces_of_dim(k)] for k in range(-1, n - 3)}
+    expected = _simplex_columns(simplices)
+    for k in range(n - 3):
+        assert cc.columns[k] == expected[k]
+    # the interior covers every triangulation once; its signs are checked
+    # by test_interior_column_signs_cancel_over_rationals and dd = 0
+    [interior] = cc.columns[n - 3]
+    assert [p for p, _ in interior] == list(range(len(X.facets())))
 
 
 def test_restriction_homology():
@@ -190,6 +218,27 @@ def test_chain_complex_ranks_match_fraction_elimination(dense_boundary):
             rank = cc.rank(k, Field.RATIONAL, kept[k])
             assert rank == _rank_fraction([[row[j] for j in kept[k]] for row in dense])
             assert cc.rank(k, Field.GF2, kept[k]) <= rank
+
+
+def _betti_without_clearing(X, field):
+    """Reduced Betti numbers from every column of every dimension, ranked in full."""
+    cc = chain_complex(X)
+    kept = X.kept or {k: range(len(cc.bases[k])) for k in cc.dims}
+    ranks = [cc.rank(k, field, kept[k]) for k in range(max(kept) + 1)] + [0]
+    return [len(kept[k]) - ranks[k] - ranks[k + 1] for k in range(max(kept) + 1)]
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_clearing_matches_ranks_without_clearing(n):
+    X = build(n)
+    for parent in (X, boundary_complex(X)):
+        for field in Field:
+            cc = chain_complex(parent)
+            assert cc.reduced_betti(field) == _betti_without_clearing(parent, field)
+            for mask in range(1 << n):
+                R = restrict(parent, vertices(mask))
+                expected = _betti_without_clearing(R, field)
+                assert cc.reduced_betti(field, R.kept) == expected, (parent is X, mask, field)
 
 
 def _rebuilt(X, mask):

@@ -1,8 +1,10 @@
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 
+from cycleres import polygon
 from cycleres.associahedron import f_formula
 from cycleres.polygon import (
     Diagonal,
@@ -169,6 +171,33 @@ def test_iter_dissections_is_the_size_d_slice(n):
     faces = list(iter_noncrossing(all_diagonals(n)))
     for d in range(n - 2):
         assert list(iter_dissections(n, d)) == [ds for ds in faces if len(ds) == d]
+
+
+class _CountingSequence(Sequence):
+    """The diagonals, counting every item read."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+@pytest.mark.parametrize("n, d", [(6, 1), (8, 2), (9, 4)])
+def test_iter_dissections_does_not_build_the_next_size(monkeypatch, n, d):
+    # Past the crossing table's m(m - 1) reads, each subset made reads one
+    # diagonal; the slice needs the subsets of sizes 1..d and the first one
+    # of size d + 1, which ends it.
+    diagonals = _CountingSequence(all_diagonals(n))
+    monkeypatch.setattr(polygon, "all_diagonals", lambda _: diagonals)
+    m = len(diagonals)
+    assert sum(1 for _ in iter_dissections(n, d)) == f_formula(n, d)
+    assert f_formula(n, d + 1) > 1
+    assert diagonals.reads <= m * (m - 1) + sum(f_formula(n, k) for k in range(1, d + 1)) + 1
 
 
 def test_dissection_counts_small():
