@@ -12,7 +12,7 @@ sphere into a ball.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -56,35 +56,60 @@ class Face:
 _DERIVED = frozenset({"faces", "_below", "_by_diagonals", "_by_dim"})
 
 
+def _check_order(n: int, faces: list[Face]) -> None:
+    """Raise ValueError at the first face out of the shape ``LabeledComplex`` needs."""
+    dim = -1
+    for i, f in enumerate(faces):
+        if f.id != i:
+            problem = f"has id {f.id} at position {i}"
+        elif f.dim < dim:
+            problem = f"of dimension {f.dim} follows one of dimension {dim}"
+        elif f.is_interior and (f.dim != n - 3 or i != len(faces) - 1):
+            problem = f"of dimension {f.dim} is not last at dimension {n - 3}"
+        elif not f.is_interior and f.dim != len(f.diagonals) - 1:
+            problem = f"has {len(f.diagonals)} diagonals at dimension {f.dim}"
+        elif not f.is_interior and f.dim >= n - 3:
+            problem = f"has dimension {f.dim}, which only the interior cell reaches"
+        else:
+            dim = f.dim
+            continue
+        raise ValueError(f"face {f} {problem}: faces must be in canonical order")
+
+
 class LabeledComplex:
     """A face list and what it determines, immutable after construction.
 
     Faces are stored in canonical order (by dimension, then
     lexicographically by dissection; the interior cell last) and ids
-    equal list positions.  The constructor derives the cover relation
-    once, as the facet table ``covers_below()``: row i lists the faces
-    that face i covers.  A simplicial face covers its dissection minus
-    one diagonal, and the interior cell covers every triangulation.  A
-    missing subface raises ValueError, so every complex built from a
-    face list is closed under subfaces.  ``covers`` lists the same
-    relation as sorted pairs, derived from the table on each read.
+    equal list positions; the constructor raises ValueError at the first
+    face out of that order, or whose dimension is not its number of
+    diagonals minus one.  It derives the cover relation once, as the
+    facet table ``covers_below()``: row i lists the faces that face i
+    covers.  A simplicial face covers its dissection minus one diagonal,
+    and the interior cell covers every triangulation.  A missing subface
+    raises ValueError, so every complex built from a face list is closed
+    under subfaces.  ``covers`` lists the same relation as sorted pairs,
+    derived from the table on each read.
 
-    A restriction (see ``restrict``) is built from its ``parent`` and
-    ``kept``, the kept positions in each ``parent.faces_of_dim(d)``.  It
-    derives its renumbered ``faces``, facet table and lookups only when
-    one of them is read.
+    ``kept`` holds the positions in each ``faces_of_dim(d)`` of the face
+    list that owns the faces: all of its own for a face list, and a
+    label filter of its ``parent`` for a restriction (see ``restrict``),
+    which derives its renumbered ``faces``, facet table and lookups
+    only when one of them is read.
     """
 
     parent: LabeledComplex | None = None
-    kept: dict[int, list[int]] | None = None
+    kept: dict[int, Sequence[int]]
     # label -> dimension -> positions in faces_of_dim, built by the first restrict
     _labels: dict[int, dict[int, list[int]]] | None = None
     # the verified integer chain complex, built by homology on first use
     _chains = None
 
     def __init__(self, n: int, faces: list[Face]) -> None:
+        _check_order(n, faces)
         self.n = n
         self._derive(faces)
+        self.kept = {d: range(len(fs)) for d, fs in self._by_dim.items()}
 
     @classmethod
     def _restriction(cls, parent: LabeledComplex, kept: dict[int, list[int]]) -> LabeledComplex:
@@ -94,7 +119,7 @@ class LabeledComplex:
 
     def __getattr__(self, name: str):
         # Reached only for attributes not yet set: a restriction's derived ones.
-        if name not in _DERIVED or self.kept is None:
+        if name not in _DERIVED or self.parent is None:
             raise AttributeError(name)
         kept = [self.parent.faces_of_dim(d)[p] for d, ps in self.kept.items() for p in ps]
         self._derive([Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(kept)])
@@ -126,11 +151,6 @@ class LabeledComplex:
             below.append(row)
         self._below = below
 
-    def _counts(self) -> dict[int, int]:
-        """Faces per dimension, ascending; a restriction counts without deriving."""
-        cells = self._by_dim if self.kept is None else self.kept
-        return {d: len(cells[d]) for d in sorted(cells)}
-
     def _label_index(self) -> dict[int, dict[int, list[int]]]:
         """Positions in ``faces_of_dim(d)`` by label, then dimension, built once.
 
@@ -156,22 +176,20 @@ class LabeledComplex:
         return self._labels
 
     def __len__(self) -> int:
-        return sum(self._counts().values())
+        return sum(map(len, self.kept.values()))
 
     @property
     def dim(self) -> int:
-        return max(self._counts())
+        return max(self.kept)
 
     @property
     def has_interior(self) -> bool:
-        if self.kept is not None:
-            return self.n - 3 in self.kept
-        return self.faces[-1].is_interior
+        return self.n - 3 in self.kept
 
     @property
     def is_empty(self) -> bool:
         """True when the complex holds nothing beyond the empty face."""
-        return all(d < 0 for d in self._counts())
+        return all(d < 0 for d in self.kept)
 
     def face(self, fid: int) -> Face:
         return self.faces[fid]
@@ -187,11 +205,9 @@ class LabeledComplex:
     def diagonals(self) -> list[Diagonal]:
         """The diagonals of the vertices (0-faces), in canonical order.
 
-        A restriction reads them from its parent without deriving its faces.
+        Read at the kept positions, so a restriction derives no faces.
         """
-        if self.kept is None:
-            return [f.diagonals[0] for f in self.faces_of_dim(0)]
-        points = self.parent.faces_of_dim(0)
+        points = (self if self.parent is None else self.parent).faces_of_dim(0)
         return [points[p].diagonals[0] for p in self.kept.get(0, ())]
 
     def facets(self) -> list[Face]:
@@ -216,6 +232,13 @@ class LabeledComplex:
         """
         return sorted((lo, hi) for hi, row in enumerate(self._below) for lo in row)
 
+    def equal_label_covers(self) -> list[tuple[int, int]]:
+        """The pairs of ``covers`` whose faces have equal labels, sorted from the facet table."""
+        labels = [f.label for f in self.faces]
+        return sorted(
+            (lo, hi) for hi, row in enumerate(self._below) for lo in row if labels[lo] == labels[hi]
+        )
+
     def maximal_faces(self) -> list[Face]:
         """Faces with no cover above them (the interior cell counts)."""
         lowers = {lo for row in self._below for lo in row}
@@ -223,7 +246,7 @@ class LabeledComplex:
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 up; (f(n,0), ..., f(n,n-3), 1) for A_n."""
-        return list(self._counts().values())
+        return [len(ps) for ps in self.kept.values()]
 
     def to_json(self) -> dict:
         return {
@@ -270,9 +293,10 @@ def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
     inside its own, so every label filter is closed under subfaces and no
     restriction repeats the closure check.  The kept faces are the union
     of the label buckets inside sigma; the result records X as its
-    ``parent`` and the kept positions per dimension as ``kept``, and
-    derives its faces, facet table and lookups only when they are read.  The
-    interior cell survives only when sigma is all of 1..n.
+    ``parent`` and the kept positions per dimension as ``kept`` (a face
+    list keeps all of its own), and derives its faces, facet table and
+    lookups only when they are read.  The interior cell survives only
+    when sigma is all of 1..n.
     """
     sig = set(sigma)
     mask = sum(1 << (v - 1) for v in range(1, X.n + 1) if v in sig)

@@ -247,9 +247,9 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
     """Integer chain complex of X's face list, interior cell included.
 
     A restriction has no face list of its own, so it gets its parent's
-    complex and ranks it at ``X.kept``.  The complex is assembled, and
-    checked for dd = 0 over the integers, on the first call and kept on
-    the face list's owner.
+    complex; every complex ranks it at ``X.kept``.  The complex is
+    assembled, and checked for dd = 0 over the integers, on the first
+    call and kept on the face list's owner.
     """
     P = X if X.parent is None else X.parent
     if P._chains is None:

@@ -228,6 +228,7 @@ def n7_extension_counts() -> dict[str, int]:
 def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     """Add equal-label cover pairs in canonical order while staying acyclic.
 
+    The candidates are ``X.equal_label_covers()``, in its sorted order.
     One pass suffices: matched faces never free up, and a rejected pair's
     cycle only gains edges later, so no skipped candidate becomes addable.
     m must be acyclic (d2_matching(X) and the empty matching are): then any
@@ -237,10 +238,8 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     match_at_lower = dict(m.pairs)
     step = _pair_successors(match_at_lower, X.covers_below())
     matched = set(m.matched_ids)
-    for lo, hi in X.covers:
+    for lo, hi in X.equal_label_covers():
         if lo in matched or hi in matched:
-            continue
-        if X.face(lo).label != X.face(hi).label:
             continue
         match_at_lower[lo] = hi
         if _find_cycle([lo], step) is not None:

@@ -85,15 +85,11 @@ def cone_witness(n: int, sigma: Iterable[int]) -> Diagonal | None:
 def minimality_witnesses(X: LabeledComplex) -> list[tuple[Face, Face]]:
     """Cover pairs with identical labels; the resolution is minimal iff none exist.
 
+    The pairs are ``X.equal_label_covers()``, in its sorted order, as faces.
     Label monotonicity makes cover pairs sufficient: equality on any nested pair
     forces equality somewhere along a saturated chain between them.
     """
-    out = []
-    for lo, hi in X.covers:
-        f, g = X.face(lo), X.face(hi)
-        if f.label == g.label:
-            out.append((f, g))
-    return out
+    return [(X.face(lo), X.face(hi)) for lo, hi in X.equal_label_covers()]
 
 
 @dataclass(frozen=True)

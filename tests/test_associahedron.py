@@ -152,6 +152,75 @@ def test_unclosed_face_list_rejected():
         LabeledComplex(5, faces)
 
 
+def _renumbered(faces):
+    return [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(faces)]
+
+
+def test_face_list_out_of_canonical_order_rejected():
+    faces = build(5).faces
+    vertex, edge, interior = faces[1], faces[6], faces[-1]
+    assert (vertex.dim, edge.dim, interior.dim) == (0, 1, 2)
+    shifted = [Face(f.id + 100, f.dim, f.diagonals, f.label) for f in faces]
+    vertex_late = _renumbered([faces[0], *faces[2:7], vertex, *faces[7:]])
+    interior_early = _renumbered([*faces[:-2], interior, faces[-2]])
+    interior_low = [*faces[:-1], Face(interior.id, 1, None, interior.label)]
+    last = faces[-2]
+    misdimensioned = [*faces[:-2], Face(last.id, 2, last.diagonals, last.label), interior]
+    three = (Diagonal(1, 3), Diagonal(1, 4), Diagonal(2, 4))
+    simplicial_top = [*faces[:-1], Face(interior.id, 2, three, 0b11111)]
+    cases = [
+        (shifted, "face {} has id 100 at position 0"),
+        (vertex_late, "face {1-3} of dimension 0 follows one of dimension 1"),
+        (interior_early, "face <interior> of dimension 2 is not last at dimension 2"),
+        (interior_low, "face <interior> of dimension 1 is not last at dimension 2"),
+        (misdimensioned, "face {2-5,3-5} has 2 diagonals at dimension 2"),
+        (simplicial_top, "face {1-3,1-4,2-4} has dimension 2, which only the interior"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabeledComplex(5, bad)
+    assert LabeledComplex(5, _renumbered(faces)).covers == build(5).covers
+
+
+def _complexes(n):
+    """build(n), its boundary complex, and every restriction of each."""
+    X = build(n)
+    for parent in (X, boundary_complex(X)):
+        yield parent
+        for mask in range(1 << n):
+            yield restrict(parent, vertices(mask))
+
+
+def test_equal_label_covers_match_the_covers_oracle():
+    for n in range(4, 10):
+        X = build(n)
+        for Y in (X, boundary_complex(X)):
+            labels = [f.label for f in Y.faces]
+            oracle = [(lo, hi) for lo, hi in Y.covers if labels[lo] == labels[hi]]
+            assert Y.equal_label_covers() == oracle, n
+    for R in _complexes(6):
+        labels = [f.label for f in R.faces]
+        assert R.equal_label_covers() == [
+            (lo, hi) for lo, hi in R.covers if labels[lo] == labels[hi]
+        ]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_every_complex_has_kept_positions(n):
+    for Y in _complexes(n):
+        if Y.parent is None:
+            assert Y.kept == {d: range(len(Y.faces_of_dim(d))) for d in Y.kept}
+        owner = Y if Y.parent is None else Y.parent
+        assert sum(map(len, Y.kept.values())) == len(Y.faces)
+        assert [f.label for f in Y.faces] == [
+            owner.faces_of_dim(d)[p].label for d, ps in Y.kept.items() for p in ps
+        ]
+        dims = [f.dim for f in Y.faces]
+        assert Y.f_vector() == [dims.count(d) for d in range(-1, max(dims) + 1)]
+        assert Y.has_interior == any(f.is_interior for f in Y.faces)
+        assert Y.diagonals() == [f.diagonals[0] for f in Y.faces if f.dim == 0]
+
+
 def test_restrict_is_closed_under_subfaces():
     X = build(6)
     for sigma in [{1, 2, 3, 4}, {1, 3, 5}, {2, 4, 6}, {1, 2, 4, 5, 6}]:
