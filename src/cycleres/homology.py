@@ -2,31 +2,30 @@
 
 Chain complexes are augmented: the empty face sits in dimension -1 and
 every vertex maps onto it, so acyclicity means contractible-like, not
-just connected.  Both rank kernels take the same sparse integer columns
-and reduce them against pivot rows keyed by their largest index: over
-GF(2) as sets of row ids, by symmetric difference, and over the
-rationals as ``{index: value}`` dicts, fraction-free.  All arithmetic
-is exact: no floating point, no modular shortcuts.
+just connected.  All arithmetic is exact: no floating point, no modular
+shortcuts.
 
-A chain complex is an integer object, one per face list, read from its
-facet table on first use with dd = 0 checked once over the integers;
-the field is an argument of each rank, and a restriction ranks its
-parent's columns at its kept positions.  Betti numbers rank from the
-top dimension down with clearing (Chen & Kerber, "Persistent homology
-computation with a twist", 2011).
+A chain complex is a facet table, one integer object per face list: row
+g lists the ids of the cells that cell g covers, and its i-th entry has
+coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n only
+the interior cell has).  For A_n the table is ``covers_below()`` itself,
+not a copy; dd = 0 is checked once over the integers.  Each rank builds
+the rows it needs for the field asked for, as id sets for GF(2) and
+``{id: ±1}`` dicts for the rationals, and reduces them against pivot
+rows keyed by their largest id.  A restriction ranks its parent's rows
+at its kept ids.  Betti numbers rank from the top dimension down with
+clearing (Chen & Kerber, "Persistent homology computation with a twist",
+2011).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from itertools import combinations
 from math import gcd
 
 from .associahedron import LabeledComplex
-
-# sparse boundary of one cell: list of (position in lower basis, coefficient)
-Column = list[tuple[int, int]]
 
 
 class Field(Enum):
@@ -42,17 +41,15 @@ class Field(Enum):
         raise ValueError(f"unknown field {value!r}; use 'gf2' or 'rational'")
 
 
-def rank_gf2(columns: list[Column]) -> set[int]:
-    """Pivot rows over GF(2) of an integer matrix, one per unit of rank.
+def rank_gf2(rows: list[set[int]]) -> set[int]:
+    """Pivot ids over GF(2) of a matrix given as rows of the ids with odd entries.
 
-    Each column is a list of ``(row index, coefficient)`` pairs, as in
-    ``ChainComplex.columns``.  Its rows with odd coefficients are reduced
-    by symmetric difference against the pivot rows, keyed by their
-    largest index, until they vanish or become a new pivot.
+    Each row is reduced by symmetric difference against the pivot rows,
+    keyed by their largest id, until it vanishes or becomes a new pivot.
+    The rows are consumed.
     """
     pivots: dict[int, set[int]] = {}
-    for col in columns:
-        row = {i for i, c in col if c % 2}
+    for row in rows:
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -63,18 +60,17 @@ def rank_gf2(columns: list[Column]) -> set[int]:
     return set(pivots)
 
 
-def rank_int(columns: list[Column]) -> set[int]:
-    """Pivot rows over the rationals of an integer matrix, one per unit of rank.
+def rank_int(rows: list[dict[int, int]]) -> set[int]:
+    """Pivot ids over the rationals of an integer matrix given as ``{id: value}`` rows.
 
-    Columns and pivots are as for ``rank_gf2``, with ``{index: value}``
-    rows.  With leading value v in the row r and p in the pivot,
-    a ±1 pivot is subtracted ``v·p`` times; any other pivot turns r into
+    Values must be nonzero; pivots are as for ``rank_gf2``.  With
+    leading value v in the row r and p in the pivot, a ±1 pivot is
+    subtracted ``v·p`` times; any other pivot turns r into
     ``p·r − v·pivot``, which is then divided by its content.  Exact for
-    any integer input.
+    any integer input.  The rows are consumed.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for col in columns:
-        row = {i: c for i, c in col if c}
+    for row in rows:
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -100,98 +96,102 @@ def rank_int(columns: list[Column]) -> set[int]:
     return set(pivots)
 
 
-def _kernel(field: Field | str):
-    # read from the module at each call, so a rebound kernel is the one that runs
-    return rank_int if Field.coerce(field) is Field.RATIONAL else rank_gf2
-
-
 class ChainComplex:
-    """Augmented integer chain complex with exact boundary maps.
+    """Augmented integer chain complex stored as a facet table.
 
-    ``bases[k]`` lists the cells in dimension k; ``columns[k]`` holds one
-    sparse integer boundary column per k-cell, mapping into dimension
-    k - 1.  The identity boundary-of-boundary = 0 is verified once, over
-    the integers, at construction, which implies it in every field; each
-    rank takes its field as an argument.
+    ``bases[k]`` lists the cells in dimension k, and cell ids count
+    through the dimensions in order, so dimension k holds the ids from
+    ``first[k]`` on.  ``table[g]`` lists the ids of the cells in cell g's
+    boundary; its i-th entry has coefficient (-1)^i, or ``signs[g][i]``
+    when g has explicit signs, which must be ±1, one per entry
+    (ValueError otherwise).  The identity boundary-of-boundary = 0 is
+    verified once, over the integers, at construction, which implies it
+    in every field; each rank takes its field as an argument.
     """
 
-    def __init__(self, bases: dict[int, list], columns: dict[int, list[Column]]) -> None:
+    def __init__(
+        self,
+        bases: dict[int, Sequence],
+        table: Sequence[Sequence[int]],
+        signs: dict[int, Sequence[int]] | None = None,
+    ) -> None:
         self.bases = bases
-        self.columns = columns
+        self.table = table
+        self.signs = signs or {}
         self.dims = sorted(bases)
+        self.first: dict[int, int] = {}
+        count = 0
+        for k in self.dims:
+            self.first[k] = count
+            count += len(bases[k])
+        if count != len(table):
+            raise ValueError(f"{count} cells in the bases but {len(table)} rows in the table")
+        for g, s in self.signs.items():
+            if len(s) != len(table[g]) or any(c != 1 and c != -1 for c in s):
+                raise ValueError(f"cell {g} needs one sign ±1 per entry of {list(table[g])}")
+        # covers every row, so zip never cuts one short
+        self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
         self._verify_dd_zero()
 
     def rank(self, k: int, field: Field | str, positions: Iterable[int] | None = None) -> int:
-        """Rank over field of the k-boundary columns at positions (default all).
+        """Rank over field of the boundaries of the k-cells at positions (default all).
 
-        Rows keep this complex's indices.  Every column is reduced; only
-        ``reduced_betti`` skips columns by clearing.
+        Every row is reduced; only ``reduced_betti`` skips rows by clearing.
         """
-        cols = self.columns.get(k, [])
-        return len(_kernel(field)(cols if positions is None else [cols[i] for i in positions]))
+        if positions is None:
+            positions = range(len(self.bases[k]))
+        return len(self._pivots([self.first[k] + p for p in positions], field))
 
     def reduced_betti(
-        self, field: Field | str, kept: dict[int, list[int]] | None = None
+        self, field: Field | str, kept: dict[int, Sequence[int]] | None = None
     ) -> list[int]:
         """Dimensions of reduced homology over field in degrees 0..top.
 
         ``kept[k]``, when given, lists positions in ``bases[k]`` of a
-        closed subcomplex (its k-columns have their rows at ``kept[k-1]``),
-        whose ranks are those of its columns on this complex's rows.
-        Dimensions are ranked from the top down with clearing: a pivot row
-        i of the (k+1)-columns leads a cycle, so k-column i depends on the
-        k-columns before it and is skipped.  Both kernels key pivots by
-        the largest index, and kept positions keep the order.
+        closed subcomplex; it is ranked at ids ``first[k] + p``.
+        Dimensions are ranked from the top down with clearing: a pivot id
+        of the (k+1)-boundaries leads a cycle, so the k-cell with that id
+        depends on the k-cells before it and is skipped.
         """
         cells = kept or {k: range(len(basis)) for k, basis in self.bases.items()}
-        kernel = _kernel(field)
         ranks = [0] * (max(cells) + 2)
         cleared: set[int] = set()
         for k in range(max(cells), -1, -1):
-            cleared = kernel([self.columns[k][i] for i in cells[k] if i not in cleared])
+            start = self.first[k]
+            ids = [start + p for p in cells[k]]
+            cleared = self._pivots([g for g in ids if g not in cleared], field)
             ranks[k] = len(cleared)
         return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
 
+    def _pivots(self, ids: list[int], field: Field | str) -> set[int]:
+        """Pivot ids over field of the boundaries of the cells ids, rows built per field."""
+        table = self.table
+        if Field.coerce(field) is Field.GF2:
+            # every coefficient is ±1, so odd
+            return rank_gf2([set(table[g]) for g in ids])
+        signs, alternating = self.signs, self._alternating
+        return rank_int([dict(zip(table[g], signs.get(g, alternating))) for g in ids])
+
     def _verify_dd_zero(self) -> None:
-        for k in self.dims:
-            if k not in self.columns or (k - 1) not in self.columns:
-                continue
-            lower_cols = self.columns[k - 1]
-            for col in self.columns[k]:
-                acc: dict[int, int] = {}
-                for i, c in col:
-                    for i2, c2 in lower_cols[i]:
-                        acc[i2] = acc.get(i2, 0) + c * c2
-                if any(acc.values()):
-                    raise RuntimeError(f"boundary of boundary nonzero in dimension {k}")
+        table, signs, alternating = self.table, self.signs, self._alternating
+        for g, row in enumerate(table):
+            acc: dict[int, int] = {}
+            for lo, c in zip(row, signs.get(g, alternating)):
+                for lo2, c2 in zip(table[lo], signs.get(lo, alternating)):
+                    acc[lo2] = acc.get(lo2, 0) + c * c2
+            if any(acc.values()):
+                raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
 
 
-def _simplex_columns(cells_by_dim: dict[int, list[tuple]]) -> dict[int, list[Column]]:
-    """Alternating-sign boundary columns for abstract simplices.
+def _interior_signs(rows: list[list[int]]) -> list[int]:
+    """Coherent signs of the interior cell's boundary over the facets.
 
-    Cells are tuples of sorted, hashable vertices; dimension is length
-    minus one and the empty tuple sits at dimension -1.
-    """
-    position = {cell: i for cells in cells_by_dim.values() for i, cell in enumerate(cells)}
-    return {
-        k: [
-            [(position[cell[:i] + cell[i + 1 :]], -1 if i % 2 else 1) for i in range(len(cell))]
-            for cell in cells
-        ]
-        for k, cells in cells_by_dim.items()
-        if k >= 0
-    }
-
-
-def _interior_column(rows: list[list[int]]) -> Column:
-    """Coherently signed boundary of the interior cell over the facets.
-
-    ``rows`` are the triangulations' rows of the facet table, in basis
-    order: index i of a row is the ridge that drops the i-th diagonal, by
-    id, with induced sign (-1)^i.  Signs are keyed by position in
-    ``rows`` and propagated across the flip graph: every ridge lies in
-    exactly two triangulations and their induced coefficients must
-    cancel.  Failure of either property is an internal consistency error.
+    ``rows`` are the triangulations' rows of the facet table, in the
+    order of the interior cell's row: index i of a row is the ridge that
+    drops the i-th diagonal, by id, with induced sign (-1)^i.  Signs are
+    propagated across the flip graph: every ridge lies in exactly two
+    triangulations and their induced coefficients must cancel.  Failure
+    of either property is an internal consistency error.
     """
     ridge_map: dict[int, list[tuple[int, int]]] = {}
     for pos, row in enumerate(rows):
@@ -218,42 +218,29 @@ def _interior_column(rows: list[list[int]]) -> Column:
                 raise RuntimeError("orientation propagation over the flip graph failed")
     if not all(sign):
         raise RuntimeError("flip graph is not connected")
-    return list(enumerate(sign))
-
-
-def _assemble(X: LabeledComplex) -> tuple[dict[int, list], dict[int, list[Column]]]:
-    """X's faces by dimension and their boundary columns, read from the facet table.
-
-    Index i of a simplicial face's row drops the i-th diagonal, so it
-    enters with sign (-1)^i, its id shifted to a position in the dimension
-    below; the interior cell's row is signed by ``_interior_column``.
-    """
-    below = X.covers_below()
-    bases = {k: X.faces_of_dim(k) for k in range(-1, X.dim + 1)}
-    columns: dict[int, list[Column]] = {}
-    for k in range(X.dim + 1):
-        lower = bases[k - 1]
-        start = lower[0].id
-        columns[k] = [
-            _interior_column([below[g.id] for g in lower])
-            if f.is_interior
-            else [(lo - start, -1 if i % 2 else 1) for i, lo in enumerate(below[f.id])]
-            for f in bases[k]
-        ]
-    return bases, columns
+    return sign
 
 
 def chain_complex(X: LabeledComplex) -> ChainComplex:
     """Integer chain complex of X's face list, interior cell included.
 
-    A restriction has no face list of its own, so it gets its parent's
-    complex; every complex ranks it at ``X.kept``.  The complex is
-    assembled, and checked for dd = 0 over the integers, on the first
-    call and kept on the face list's owner.
+    Its table is the face list's own ``covers_below()``: a simplicial
+    face's row drops its i-th diagonal at index i, and only the interior
+    cell gets explicit signs, from ``_interior_signs``.  A restriction has
+    no face list of its own, so it gets its parent's complex; every
+    complex ranks it at ``X.kept``.  The complex is made, and checked for
+    dd = 0 over the integers, on the first call and kept on the face
+    list's owner.
     """
     P = X if X.parent is None else X.parent
     if P._chains is None:
-        P._chains = ChainComplex(*_assemble(P))
+        table = P.covers_below()
+        signs = {}
+        if P.has_interior:
+            top = len(table) - 1
+            signs[top] = _interior_signs([table[g] for g in table[top]])
+        bases = {k: P.faces_of_dim(k) for k in range(-1, P.dim + 1)}
+        P._chains = ChainComplex(bases, table, signs)
     return P._chains
 
 
@@ -261,15 +248,20 @@ def simplicial_reduced_betti(facets: Iterable[Iterable], field: Field | str) -> 
     """Reduced Betti numbers of the abstract simplicial complex the facets generate.
 
     Vertices may be any sortable hashables.  Returns degrees 0..top; the
-    complex consisting of the empty face alone returns [].
+    complex consisting of the empty face alone returns [].  Cells are
+    numbered by size, then lexicographically, and a cell's row drops its
+    i-th vertex at index i.
     """
     closure: set[tuple] = {()}
     for f in map(sorted, facets):
         closure.update(c for r in range(1, len(f) + 1) for c in combinations(f, r))
-    cells_by_dim: dict[int, list[tuple]] = {}
-    for cell in sorted(closure, key=lambda c: (len(c), c)):
-        cells_by_dim.setdefault(len(cell) - 1, []).append(cell)
-    return ChainComplex(cells_by_dim, _simplex_columns(cells_by_dim)).reduced_betti(field)
+    cells = sorted(closure, key=lambda c: (len(c), c))
+    ids = {cell: g for g, cell in enumerate(cells)}
+    table = [[ids[cell[:i] + cell[i + 1 :]] for i in range(len(cell))] for cell in cells]
+    bases: dict[int, list[tuple]] = {}
+    for cell in cells:
+        bases.setdefault(len(cell) - 1, []).append(cell)
+    return ChainComplex(bases, table).reduced_betti(field)
 
 
 def reduced_betti_numbers(X: LabeledComplex, field: Field | str) -> list[int]:

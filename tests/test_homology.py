@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from cycleres.associahedron import Face, LabeledComplex, boundary_complex, build
 from cycleres.homology import (
     ChainComplex,
     Field,
-    _simplex_columns,
     chain_complex,
     is_acyclic,
     rank_gf2,
@@ -56,8 +56,12 @@ def _rank_mod2(rows):
     return rank
 
 
-def _sparse(rows):
-    return [[(i, x) for i, x in enumerate(r) if x] for r in rows]
+def _gf2_rows(rows):
+    return [{i for i, x in enumerate(r) if x % 2} for r in rows]
+
+
+def _int_rows(rows):
+    return [{i: x for i, x in enumerate(r) if x} for r in rows]
 
 
 def _random_matrices(seed):
@@ -87,40 +91,40 @@ def test_field_coercion():
 
 
 def test_rank_gf2_basics():
-    # each kernel returns its pivot rows, keyed by their largest index
+    # each kernel returns its pivot ids, keyed by the largest id of a row
     assert rank_gf2([]) == set()
-    assert rank_gf2(_sparse([[1, 0, 1], [1, 1, 0], [0, 1, 1]])) == {1, 2}
-    assert len(rank_gf2(_sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == 3
-    assert len(rank_gf2(_sparse([[1, 1], [1, 1]]))) == 1
-    # only odd coefficients survive, whatever their sign
-    assert rank_gf2(_sparse([[2, -1], [-3, 4]])) == {0, 1}
-    assert rank_gf2([[], [(0, 2), (1, -4)], [(1, 3)]]) == {1}
+    assert rank_gf2(_gf2_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])) == {1, 2}
+    assert len(rank_gf2(_gf2_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == 3
+    assert len(rank_gf2(_gf2_rows([[1, 1], [1, 1]]))) == 1
+    # a row holds the ids of the odd entries, whatever their sign
+    assert rank_gf2(_gf2_rows([[2, -1], [-3, 4]])) == {0, 1}
+    assert rank_gf2([set(), {1}]) == {1}
 
 
 def test_rank_int_basics():
     assert rank_int([]) == set()
-    assert len(rank_int(_sparse([[0, 0], [0, 0]]))) == 0
-    assert len(rank_int(_sparse([[1, 2], [2, 4]]))) == 1
-    assert rank_int(_sparse([[1, 2], [2, 5]])) == {0, 1}
+    assert len(rank_int(_int_rows([[0, 0], [0, 0]]))) == 0
+    assert len(rank_int(_int_rows([[1, 2], [2, 4]]))) == 1
+    assert rank_int(_int_rows([[1, 2], [2, 5]])) == {0, 1}
     # rank 2 over Q but rank 1 over GF(2)
-    assert len(rank_int(_sparse([[1, 1], [1, -1]]))) == 2
-    assert len(rank_gf2(_sparse([[1, 1], [1, -1]]))) == 1
+    assert len(rank_int(_int_rows([[1, 1], [1, -1]]))) == 2
+    assert len(rank_gf2(_gf2_rows([[1, 1], [1, -1]]))) == 1
     # non-unit pivots: the first needs division by the content
-    assert len(rank_int(_sparse([[2, 4], [3, 6]]))) == 1
-    assert len(rank_int(_sparse([[2, 3], [4, 5]]))) == 2
-    # an all-zero column, empty or with explicit zeros
-    assert rank_int([[], [(0, 0), (1, 0)], [(1, 3)]]) == {1}
+    assert len(rank_int(_int_rows([[2, 4], [3, 6]]))) == 1
+    assert len(rank_int(_int_rows([[2, 3], [4, 5]]))) == 2
+    # an all-zero row
+    assert rank_int([{}, {1: 3}]) == {1}
 
 
 def test_rank_int_matches_fraction_elimination():
     # mostly zero matrices bring fill-in and non-unit pivots
     for rows in _random_matrices(20240817):
-        assert len(rank_int(_sparse(rows))) == _rank_fraction(rows)
+        assert len(rank_int(_int_rows(rows))) == _rank_fraction(rows)
 
 
 def test_rank_gf2_matches_dense_mod2_elimination():
     for rows in _random_matrices(20261018):
-        assert len(rank_gf2(_sparse(rows))) == _rank_mod2(rows)
+        assert len(rank_gf2(_gf2_rows(rows))) == _rank_mod2(rows)
 
 
 def test_pentagon_boundary_rank():
@@ -159,26 +163,47 @@ def test_interior_column_all_ones_over_gf2(dense_boundary):
 
 def test_interior_column_signs_cancel_over_rationals():
     X = build(7)
-    col = chain_complex(X).columns[4][-1]
-    assert sorted(abs(c) for _, c in col) == [1] * 42
-    assert {c for _, c in col} == {1, -1}
+    cc = chain_complex(X)
+    # the interior cell is the only one with explicit signs
+    [top] = cc.signs
+    assert top == len(X.faces) - 1
+    assert sorted(abs(c) for c in cc.signs[top]) == [1] * 42
+    assert set(cc.signs[top]) == {1, -1}
 
 
 @pytest.mark.parametrize("n", range(4, 9))
-def test_boundary_columns_match_the_facet_table(n):
-    # homology reads each boundary from the facet table; derive the simplicial
-    # ones from the diagonals alone and compare
+def test_boundary_columns_match_the_facet_table(n, signed_boundary):
+    # homology reads each boundary from the facet table; derive the signed
+    # simplicial ones from the diagonals alone and compare
     X = build(n)
     cc = chain_complex(X)
-    assert sorted(cc.columns) == list(range(n - 2))
+    assert cc.dims == list(range(-1, n - 2))
     simplices = {k: [f.diagonals for f in X.faces_of_dim(k)] for k in range(-1, n - 3)}
-    expected = _simplex_columns(simplices)
     for k in range(n - 3):
-        assert cc.columns[k] == expected[k]
+        position = {ds: p for p, ds in enumerate(simplices[k - 1])}
+        for p, ds in enumerate(simplices[k]):
+            expected = {
+                cc.first[k - 1] + position[ds[:i] + ds[i + 1 :]]: (-1) ** i
+                for i in range(len(ds))
+            }
+            assert signed_boundary(cc, cc.first[k] + p) == expected, (k, ds)
     # the interior covers every triangulation once; its signs are checked
     # by test_interior_column_signs_cancel_over_rationals and dd = 0
-    [interior] = cc.columns[n - 3]
-    assert [p for p, _ in interior] == list(range(len(X.facets())))
+    [interior] = X.faces_of_dim(n - 3)
+    assert cc.table[interior.id] == [f.id for f in X.facets()]
+
+
+def test_chain_complex_reads_the_facet_table_in_place():
+    tracemalloc.start()
+    try:
+        X = build(9)
+        built = tracemalloc.get_traced_memory()[0]
+        cc = chain_complex(X)
+        held = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert cc.table is X.covers_below()
+    assert held < built / 4, (held, built)
 
 
 def test_restriction_homology():
@@ -213,7 +238,7 @@ def test_chain_complex_ranks_match_fraction_elimination(dense_boundary):
         # a restriction ranks its parent's columns at its kept positions
         cc = chain_complex(X)
         kept = X.kept or {k: range(len(cc.bases[k])) for k in cc.dims}
-        for k in cc.columns.keys() & kept.keys():
+        for k in range(max(kept) + 1):
             dense = dense_boundary(cc, k, Field.RATIONAL)
             rank = cc.rank(k, Field.RATIONAL, kept[k])
             assert rank == _rank_fraction([[row[j] for j in kept[k]] for row in dense])
@@ -277,15 +302,33 @@ def test_simplicial_reduced_betti_known_spaces():
     assert simplicial_reduced_betti(faces, Field.RATIONAL) == [0, 0, 1]
 
 
+_SEGMENT = {-1: [()], 0: [(1,), (2,)], 1: [(1, 2)]}
+_SEGMENT_TABLE = [[], [0], [0], [1, 2]]
+
+
 def test_boundary_squared_zero_is_checked():
-    bases = {-1: [()], 0: [(1,), (2,)], 1: [(1, 2)]}
-    bad_columns = {
-        0: [[(0, 1)], [(0, 1)]],
-        1: [[(0, 1), (1, 1)]],  # should be (0,-1),(1,1) over the rationals
-    }
-    # dd vanishes mod 2 but not over the integers, so no field may use it
+    assert ChainComplex(_SEGMENT, _SEGMENT_TABLE).reduced_betti(Field.RATIONAL) == [0, 0]
+    # the default signs are (1, -1); with (1, 1) dd vanishes mod 2 but not
+    # over the integers, so no field may use it
     with pytest.raises(RuntimeError):
-        ChainComplex(bases, bad_columns)
+        ChainComplex(_SEGMENT, _SEGMENT_TABLE, {3: [1, 1]})
+
+
+@pytest.mark.parametrize("signs", [[1], [1, -1, 1], [], [2, -2], [1, 0], [-1, 3]])
+def test_explicit_signs_must_be_one_unit_per_entry(signs):
+    with pytest.raises(ValueError):
+        ChainComplex(_SEGMENT, _SEGMENT_TABLE, {3: signs})
+
+
+def test_default_signs_cover_any_row_length():
+    # two 1-cells over 300 points: the long one must keep its signs past
+    # any fixed length, or it would equal the short one
+    points = 300
+    bases = {-1: [()], 0: list(range(points)), 1: ["long", "short"]}
+    table = [[], *[[0]] * points, list(range(1, points + 1)), list(range(1, 129))]
+    cc = ChainComplex(bases, table)
+    for field in Field:
+        assert cc.rank(1, field) == 2
 
 
 def test_chain_complex_dimensions_contiguous():
