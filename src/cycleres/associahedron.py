@@ -7,6 +7,10 @@ diagonals touch, stored as a bitmask (bit v - 1 for vertex v).  On top
 of the simplicial faces sits a single interior cell of dimension n - 3
 whose boundary consists of all triangulations, turning the simplicial
 sphere into a ball.
+
+A face is its position: its id is its index in the face list that holds
+it, and every id the module hands out (``kept``, the facet table, the
+label index, ``face_id``) is such an index.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .polygon import Diagonal, all_diagonals, iter_noncrossing, support, vertice
 
 @dataclass(frozen=True, slots=True)
 class Face:
-    """One cell of the complex.
+    """One cell of the complex; its id is its position in the face list that holds it.
 
     ``diagonals`` is the dissection for simplicial faces (the empty
     tuple for the empty face) and None for the interior cell.  ``label``
@@ -29,7 +33,6 @@ class Face:
     interior cell; ``to_json`` lists its vertices.
     """
 
-    id: int
     dim: int
     diagonals: tuple[Diagonal, ...] | None
     label: int
@@ -45,7 +48,6 @@ class Face:
 
     def to_json(self) -> dict:
         return {
-            "id": self.id,
             "dim": self.dim,
             "diagonals": None if self.is_interior else [[a, b] for a, b in self.diagonals],
             "label": vertices(self.label),
@@ -53,63 +55,72 @@ class Face:
 
 
 # What a restriction derives from its kept faces on first read.
-_DERIVED = frozenset({"faces", "_below", "_by_diagonals", "_by_dim"})
+_DERIVED = frozenset({"faces", "_below", "_by_diagonals"})
 
 
-def _check_order(n: int, faces: list[Face]) -> None:
-    """Raise ValueError at the first face out of the shape ``LabeledComplex`` needs."""
-    dim = -1
+def _dimension_blocks(n: int, faces: list[Face]) -> dict[int, range]:
+    """The ids of each dimension of a face list in canonical order, as ranges.
+
+    Raises ValueError at the first face out of the shape ``LabeledComplex`` needs.
+    """
+    starts: dict[int, int] = {}
+    prev = None
     for i, f in enumerate(faces):
-        if f.id != i:
-            problem = f"has id {f.id} at position {i}"
-        elif f.dim < dim:
-            problem = f"of dimension {f.dim} follows one of dimension {dim}"
+        if prev is not None and f.dim < prev.dim:
+            problem = f"of dimension {f.dim} follows one of dimension {prev.dim}"
         elif f.is_interior and (f.dim != n - 3 or i != len(faces) - 1):
             problem = f"of dimension {f.dim} is not last at dimension {n - 3}"
         elif not f.is_interior and f.dim != len(f.diagonals) - 1:
             problem = f"has {len(f.diagonals)} diagonals at dimension {f.dim}"
         elif not f.is_interior and f.dim >= n - 3:
             problem = f"has dimension {f.dim}, which only the interior cell reaches"
+        elif prev is not None and f.dim == prev.dim and f.diagonals <= prev.diagonals:
+            problem = f"does not follow {prev} lexicographically"
         else:
-            dim = f.dim
+            starts.setdefault(f.dim, i)
+            prev = f
             continue
         raise ValueError(f"face {f} {problem}: faces must be in canonical order")
+    bounds = [*starts.values(), len(faces)]
+    return {d: range(a, b) for d, a, b in zip(starts, bounds, bounds[1:])}
 
 
 class LabeledComplex:
     """A face list and what it determines, immutable after construction.
 
-    Faces are stored in canonical order (by dimension, then
-    lexicographically by dissection; the interior cell last) and ids
-    equal list positions; the constructor raises ValueError at the first
-    face out of that order, or whose dimension is not its number of
-    diagonals minus one.  It derives the cover relation once, as the
-    facet table ``covers_below()``: row i lists the faces that face i
+    A face is its position in the face list that holds it: that is its
+    id.  Faces are stored in canonical order (by dimension, then
+    lexicographically by dissection; the interior cell last); the
+    constructor raises ValueError at the first face out of that order,
+    or whose dimension is not its number of diagonals minus one.  It
+    derives the cover relation once, as the facet table
+    ``covers_below()``: row i lists the ids of the faces that face i
     covers.  A simplicial face covers its dissection minus one diagonal,
     and the interior cell covers every triangulation.  A missing subface
     raises ValueError, so every complex built from a face list is closed
     under subfaces.  ``covers`` lists the same relation as sorted pairs,
     derived from the table on each read.
 
-    ``kept`` holds the positions in each ``faces_of_dim(d)`` of the face
-    list that owns the faces: all of its own for a face list, and a
-    label filter of its ``parent`` for a restriction (see ``restrict``),
-    which derives its renumbered ``faces``, facet table and lookups
-    only when one of them is read.
+    ``kept`` holds, per dimension, the ids of the complex's faces in the
+    face list that owns them.  A face list stores its dimension blocks
+    once, as id ranges, and they are its ``kept``.  A restriction (see
+    ``restrict``) is a label filter of its ``parent`` face list and keeps
+    the parent's ids; it derives its own face list, holding the parent's
+    ``Face`` objects, its facet table and lookup only when one of them
+    is read, and numbers its faces by their positions there.
     """
 
     parent: LabeledComplex | None = None
     kept: dict[int, Sequence[int]]
-    # label -> dimension -> positions in faces_of_dim, built by the first restrict
+    # label -> dimension -> ids, built by the first restrict
     _labels: dict[int, dict[int, list[int]]] | None = None
     # the verified integer chain complex, built by homology on first use
     _chains = None
 
     def __init__(self, n: int, faces: list[Face]) -> None:
-        _check_order(n, faces)
+        self.kept = _dimension_blocks(n, faces)
         self.n = n
         self._derive(faces)
-        self.kept = {d: range(len(fs)) for d, fs in self._by_dim.items()}
 
     @classmethod
     def _restriction(cls, parent: LabeledComplex, kept: dict[int, list[int]]) -> LabeledComplex:
@@ -121,24 +132,20 @@ class LabeledComplex:
         # Reached only for attributes not yet set: a restriction's derived ones.
         if name not in _DERIVED or self.parent is None:
             raise AttributeError(name)
-        kept = [self.parent.faces_of_dim(d)[p] for d, ps in self.kept.items() for p in ps]
-        self._derive([Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(kept)])
+        faces = self.parent.faces
+        self._derive([faces[i] for ids in self.kept.values() for i in ids])
         return getattr(self, name)
 
     def _derive(self, faces: list[Face]) -> None:
         self.faces = faces
         self._by_diagonals: dict[tuple[Diagonal, ...], int] = {
-            f.diagonals: f.id for f in faces if f.diagonals is not None
+            f.diagonals: i for i, f in enumerate(faces) if f.diagonals is not None
         }
-        by_dim: dict[int, list[Face]] = defaultdict(list)
-        for f in faces:
-            by_dim[f.dim].append(f)
-        self._by_dim = dict(by_dim)
         below: list[list[int]] = []
         for f in faces:
             ds = f.diagonals
             if ds is None:
-                below.append([g.id for g in self.facets()])
+                below.append([i for i, g in enumerate(faces) if g.dim == self.n - 4])
                 continue
             row = []
             for i in range(len(ds)):
@@ -152,7 +159,7 @@ class LabeledComplex:
         self._below = below
 
     def _label_index(self) -> dict[int, dict[int, list[int]]]:
-        """Positions in ``faces_of_dim(d)`` by label, then dimension, built once.
+        """Ids by label, then dimension, built once.
 
         First checks that every cover is label-monotone (``lo & ~hi == 0``),
         which makes each set of faces with labels inside a mask closed under
@@ -169,9 +176,8 @@ class LabeledComplex:
                             f"{vertices(f.label)} is not inside {vertices(g.label)}"
                         )
             index: dict[int, dict[int, list[int]]] = defaultdict(dict)
-            for d, fs in self._by_dim.items():
-                for pos, f in enumerate(fs):
-                    index[f.label].setdefault(d, []).append(pos)
+            for i, f in enumerate(faces):
+                index[f.label].setdefault(f.dim, []).append(i)
             self._labels = dict(index)
         return self._labels
 
@@ -194,21 +200,18 @@ class LabeledComplex:
     def face(self, fid: int) -> Face:
         return self.faces[fid]
 
-    def face_by_diagonals(self, diagonals: Iterable[tuple[int, int]]) -> Face | None:
-        key = tuple(Diagonal(a, b) for a, b in diagonals)
-        fid = self._by_diagonals.get(key)
-        return None if fid is None else self.faces[fid]
+    def face_id(self, diagonals: Iterable[tuple[int, int]]) -> int | None:
+        """The id of the face with these diagonals, in order, or None if there is none."""
+        return self._by_diagonals.get(tuple(Diagonal(a, b) for a, b in diagonals))
 
     def faces_of_dim(self, dim: int) -> list[Face]:
-        return self._by_dim.get(dim, [])
+        """The faces of dimension dim, read at the kept ids, so a restriction derives none."""
+        faces = (self if self.parent is None else self.parent).faces
+        return [faces[i] for i in self.kept.get(dim, ())]
 
     def diagonals(self) -> list[Diagonal]:
-        """The diagonals of the vertices (0-faces), in canonical order.
-
-        Read at the kept positions, so a restriction derives no faces.
-        """
-        points = (self if self.parent is None else self.parent).faces_of_dim(0)
-        return [points[p].diagonals[0] for p in self.kept.get(0, ())]
+        """The diagonals of the vertices (0-faces), in canonical order."""
+        return [f.diagonals[0] for f in self.faces_of_dim(0)]
 
     def facets(self) -> list[Face]:
         """Simplicial top faces: the triangulations, each with n - 3 diagonals."""
@@ -242,16 +245,16 @@ class LabeledComplex:
     def maximal_faces(self) -> list[Face]:
         """Faces with no cover above them (the interior cell counts)."""
         lowers = {lo for row in self._below for lo in row}
-        return [f for f in self.faces if f.id not in lowers and f.dim >= 0]
+        return [f for i, f in enumerate(self.faces) if i not in lowers and f.dim >= 0]
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 up; (f(n,0), ..., f(n,n-3), 1) for A_n."""
-        return [len(ps) for ps in self.kept.values()]
+        return [len(ids) for ids in self.kept.values()]
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "faces": [f.to_json() for f in self.faces],
+            "faces": [{"id": i, **f.to_json()} for i, f in enumerate(self.faces)],
             "covers": [[lo, hi] for lo, hi in self.covers],
         }
 
@@ -276,32 +279,36 @@ def build(n: int) -> LabeledComplex:
     """Construct the full complex for the n-gon.
 
     Takes every dissection in the order ``iter_noncrossing`` yields it, which
-    is canonical (dimension, then lexicographic dissection), assigns ids, and
-    appends the interior cell of dimension n - 3 labeled by all of 1..n.
+    is canonical (dimension, then lexicographic dissection), and appends the
+    interior cell of dimension n - 3 labeled by all of 1..n.
     """
-    dissections = iter_noncrossing(all_diagonals(n))
-    faces = [Face(i, len(ds) - 1, ds, support(ds)) for i, ds in enumerate(dissections)]
-    faces.append(Face(len(faces), n - 3, None, (1 << n) - 1))
+    faces = [Face(len(ds) - 1, ds, support(ds)) for ds in iter_noncrossing(all_diagonals(n))]
+    faces.append(Face(n - 3, None, (1 << n) - 1))
     return LabeledComplex(n, faces)
 
 
 def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
-    """Subcomplex of faces whose label is contained in sigma, renumbered.
+    """Subcomplex of faces whose label is contained in sigma.
 
-    The first call on X builds its label index, after checking once that
-    every cover of X is label-monotone: a face's subfaces then have labels
-    inside its own, so every label filter is closed under subfaces and no
-    restriction repeats the closure check.  The kept faces are the union
-    of the label buckets inside sigma; the result records X as its
-    ``parent`` and the kept positions per dimension as ``kept`` (a face
-    list keeps all of its own), and derives its faces, facet table and
-    lookups only when they are read.  The interior cell survives only
-    when sigma is all of 1..n.
+    The first call on a face list X builds its label index, after checking
+    once that every cover of X is label-monotone: a face's subfaces then
+    have labels inside its own, so every label filter is closed under
+    subfaces and no restriction repeats the closure check.  The kept faces
+    are the union of the label buckets inside sigma; the result records X
+    as its ``parent`` and the kept ids per dimension as ``kept``, and
+    derives its faces, facet table and lookup only when they are read.
+    A restriction of a restriction filters its kept ids by label, so its
+    parent is the same face list.  The interior cell survives only when
+    sigma is all of 1..n.
     """
     sig = set(sigma)
     mask = sum(1 << (v - 1) for v in range(1, X.n + 1) if v in sig)
     if mask.bit_count() != len(sig):
         raise ValueError(f"sigma {sorted(sig)} is not a subset of 1..{X.n}")
+    if X.parent is not None:
+        faces = X.parent.faces
+        kept = {d: [i for i in ids if not faces[i].label & ~mask] for d, ids in X.kept.items()}
+        return LabeledComplex._restriction(X.parent, {d: ids for d, ids in kept.items() if ids})
     index = X._label_index()
     found: dict[int, list[int]] = defaultdict(list)
     sub = mask

@@ -5,8 +5,9 @@ every vertex maps onto it, so acyclicity means contractible-like, not
 just connected.  All arithmetic is exact: no floating point, no modular
 shortcuts.
 
-A chain complex is a facet table, one integer object per face list: row
-g lists the ids of the cells that cell g covers, and its i-th entry has
+A chain complex is a facet table, one integer object per face list.  A
+face is its id, its position in the face list, and that id is its row:
+row g lists the ids of the cells that cell g covers, and its i-th entry has
 coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n only
 the interior cell has).  For A_n the table is ``covers_below()`` itself,
 not a copy; dd = 0 is checked once over the integers.  Each rank builds
@@ -99,33 +100,28 @@ def rank_int(rows: list[dict[int, int]]) -> set[int]:
 class ChainComplex:
     """Augmented integer chain complex stored as a facet table.
 
-    ``bases[k]`` lists the cells in dimension k, and cell ids count
-    through the dimensions in order, so dimension k holds the ids from
-    ``first[k]`` on.  ``table[g]`` lists the ids of the cells in cell g's
-    boundary; its i-th entry has coefficient (-1)^i, or ``signs[g][i]``
-    when g has explicit signs, which must be ±1, one per entry
-    (ValueError otherwise).  The identity boundary-of-boundary = 0 is
-    verified once, over the integers, at construction, which implies it
-    in every field; each rank takes its field as an argument.
+    A cell is its id, its row in ``table``.  ``bases[k]`` lists the ids
+    of the cells in dimension k; together the bases must hold every id
+    0..len(table) - 1 exactly once (ValueError otherwise).  ``table[g]``
+    lists the ids of the cells in cell g's boundary; its i-th entry has
+    coefficient (-1)^i, or ``signs[g][i]`` when g has explicit signs,
+    which must be ±1, one per entry (ValueError otherwise).  The identity
+    boundary-of-boundary = 0 is verified once, over the integers, at
+    construction, which implies it in every field; each rank takes its
+    field as an argument.
     """
 
     def __init__(
         self,
-        bases: dict[int, Sequence],
+        bases: dict[int, Sequence[int]],
         table: Sequence[Sequence[int]],
         signs: dict[int, Sequence[int]] | None = None,
     ) -> None:
         self.bases = bases
         self.table = table
         self.signs = signs or {}
-        self.dims = sorted(bases)
-        self.first: dict[int, int] = {}
-        count = 0
-        for k in self.dims:
-            self.first[k] = count
-            count += len(bases[k])
-        if count != len(table):
-            raise ValueError(f"{count} cells in the bases but {len(table)} rows in the table")
+        if sorted(g for ids in bases.values() for g in ids) != list(range(len(table))):
+            raise ValueError(f"the bases must hold each id 0..{len(table) - 1} exactly once")
         for g, s in self.signs.items():
             if len(s) != len(table[g]) or any(c != 1 and c != -1 for c in s):
                 raise ValueError(f"cell {g} needs one sign ±1 per entry of {list(table[g])}")
@@ -133,37 +129,33 @@ class ChainComplex:
         self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
         self._verify_dd_zero()
 
-    def rank(self, k: int, field: Field | str, positions: Iterable[int] | None = None) -> int:
-        """Rank over field of the boundaries of the k-cells at positions (default all).
+    def rank(self, k: int, field: Field | str, ids: Iterable[int] | None = None) -> int:
+        """Rank over field of the boundaries of the k-cells with these ids (default ``bases[k]``).
 
         Every row is reduced; only ``reduced_betti`` skips rows by clearing.
         """
-        if positions is None:
-            positions = range(len(self.bases[k]))
-        return len(self._pivots([self.first[k] + p for p in positions], field))
+        return len(self._pivots(self.bases[k] if ids is None else ids, field))
 
     def reduced_betti(
         self, field: Field | str, kept: dict[int, Sequence[int]] | None = None
     ) -> list[int]:
         """Dimensions of reduced homology over field in degrees 0..top.
 
-        ``kept[k]``, when given, lists positions in ``bases[k]`` of a
-        closed subcomplex; it is ranked at ids ``first[k] + p``.
-        Dimensions are ranked from the top down with clearing: a pivot id
-        of the (k+1)-boundaries leads a cycle, so the k-cell with that id
-        depends on the k-cells before it and is skipped.
+        ``kept[k]``, when given, lists the ids of the k-cells of a closed
+        subcomplex; the default is ``bases``.  Dimensions are ranked from
+        the top down with clearing: a pivot id of the (k+1)-boundaries
+        leads a cycle, so the k-cell with that id depends on the k-cells
+        before it and is skipped.
         """
-        cells = kept or {k: range(len(basis)) for k, basis in self.bases.items()}
+        cells = kept or self.bases
         ranks = [0] * (max(cells) + 2)
         cleared: set[int] = set()
         for k in range(max(cells), -1, -1):
-            start = self.first[k]
-            ids = [start + p for p in cells[k]]
-            cleared = self._pivots([g for g in ids if g not in cleared], field)
+            cleared = self._pivots([g for g in cells[k] if g not in cleared], field)
             ranks[k] = len(cleared)
         return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
 
-    def _pivots(self, ids: list[int], field: Field | str) -> set[int]:
+    def _pivots(self, ids: Iterable[int], field: Field | str) -> set[int]:
         """Pivot ids over field of the boundaries of the cells ids, rows built per field."""
         table = self.table
         if Field.coerce(field) is Field.GF2:
@@ -226,11 +218,11 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
 
     Its table is the face list's own ``covers_below()``: a simplicial
     face's row drops its i-th diagonal at index i, and only the interior
-    cell gets explicit signs, from ``_interior_signs``.  A restriction has
-    no face list of its own, so it gets its parent's complex; every
-    complex ranks it at ``X.kept``.  The complex is made, and checked for
-    dd = 0 over the integers, on the first call and kept on the face
-    list's owner.
+    cell gets explicit signs, from ``_interior_signs``.  Its bases are the
+    face list's dimension blocks, its ``kept``.  A restriction gets its
+    parent's complex, and every complex ranks it at the ids ``X.kept``.
+    The complex is made, and checked for dd = 0 over the integers, on the
+    first call and kept on the face list.
     """
     P = X if X.parent is None else X.parent
     if P._chains is None:
@@ -239,8 +231,7 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
         if P.has_interior:
             top = len(table) - 1
             signs[top] = _interior_signs([table[g] for g in table[top]])
-        bases = {k: P.faces_of_dim(k) for k in range(-1, P.dim + 1)}
-        P._chains = ChainComplex(bases, table, signs)
+        P._chains = ChainComplex(P.kept, table, signs)
     return P._chains
 
 
@@ -258,9 +249,9 @@ def simplicial_reduced_betti(facets: Iterable[Iterable], field: Field | str) -> 
     cells = sorted(closure, key=lambda c: (len(c), c))
     ids = {cell: g for g, cell in enumerate(cells)}
     table = [[ids[cell[:i] + cell[i + 1 :]] for i in range(len(cell))] for cell in cells]
-    bases: dict[int, list[tuple]] = {}
-    for cell in cells:
-        bases.setdefault(len(cell) - 1, []).append(cell)
+    bases: dict[int, list[int]] = {}
+    for g, cell in enumerate(cells):
+        bases.setdefault(len(cell) - 1, []).append(g)
     return ChainComplex(bases, table).reduced_betti(field)
 
 

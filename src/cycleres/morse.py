@@ -69,22 +69,19 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
     Empty below n = 6, where neither face type exists.
     """
     pairs = []
-    for face in X.faces_of_dim(1):
-        if face.is_interior or face.label.bit_count() != 4:
+    for fid, face in enumerate(X.faces):
+        if face.is_interior:
             continue
-        d1, d2 = face.diagonals
-        extra = _superproper_partner(d1, d2)
-        upper = X.face_by_diagonals(sorted((d1, d2, extra)))
-        if upper is None:
-            raise RuntimeError(f"partner of {face} is not a face")
-        pairs.append((face.id, upper.id))
-    for face in X.faces_of_dim(2):
-        if face.is_interior or face.label.bit_count() != 3:
+        if face.dim == 1 and face.label.bit_count() == 4:
+            d1, d2 = face.diagonals
+            pair = (fid, X.face_id(sorted((d1, d2, _superproper_partner(d1, d2)))))
+        elif face.dim == 2 and face.label.bit_count() == 3:
+            pair = (X.face_id(sorted(_triangle_partner(face.label))), fid)
+        else:
             continue
-        lower = X.face_by_diagonals(sorted(_triangle_partner(face.label)))
-        if lower is None:
+        if None in pair:
             raise RuntimeError(f"partner of {face} is not a face")
-        pairs.append((lower.id, face.id))
+        pairs.append(pair)
     return MorseMatching(tuple(pairs))
 
 
@@ -179,8 +176,8 @@ def critical_cells(m: MorseMatching, X: LabeledComplex) -> dict[int, int]:
     """Unmatched face counts per dimension, the empty face (dim -1) included."""
     counts = {dim: 0 for dim in range(-1, X.dim + 1)}
     matched = m.matched_ids
-    for face in X.faces:
-        if face.id not in matched:
+    for fid, face in enumerate(X.faces):
+        if fid not in matched:
             counts[face.dim] += 1
     return counts
 

@@ -20,10 +20,11 @@ def _dense_boundary(cc, k, field):
     so tests can check the sparse kernels against dense algebra.
     """
     cells = cc.bases.get(k, [])
-    dense = [[0] * len(cells) for _ in cc.bases.get(k - 1, [])]
-    for j in range(len(cells)):
-        for lo, c in _signed_boundary(cc, cc.first[k] + j).items():
-            dense[lo - cc.first[k - 1]][j] = c % 2 if field is Field.GF2 else c
+    row_of = {g: i for i, g in enumerate(cc.bases.get(k - 1, []))}
+    dense = [[0] * len(cells) for _ in row_of]
+    for j, g in enumerate(cells):
+        for lo, c in _signed_boundary(cc, g).items():
+            dense[row_of[lo]][j] = c % 2 if field is Field.GF2 else c
     return dense
 
 

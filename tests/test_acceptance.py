@@ -92,8 +92,8 @@ def test_criterion_05_minimality_witnesses():
     assert minimality_witnesses(build(5)) == []
     X6 = build(6)
     witnesses6 = minimality_witnesses(X6)
-    lower = X6.face_by_diagonals([(1, 3), (4, 6)])
-    upper = X6.face_by_diagonals([(1, 3), (3, 6), (4, 6)])
+    lower = X6.faces[X6.face_id([(1, 3), (4, 6)])]
+    upper = X6.faces[X6.face_id([(1, 3), (3, 6), (4, 6)])]
     assert (lower, upper) in witnesses6
     for n in range(6, 10):
         assert minimality_witnesses(build(n))
@@ -182,7 +182,7 @@ def test_criterion_10_catalan_refinements():
 
 
 def _boundary_squares_to_zero(cc, field, dense_boundary) -> None:
-    for k in cc.dims:
+    for k in cc.bases:
         a = dense_boundary(cc, k, field)
         b = dense_boundary(cc, k + 1, field)
         if not a or not b or not b[0]:
@@ -208,18 +208,18 @@ def test_criterion_11_property_suites(dense_boundary):
     )
 
     # a restriction is closed in its parent's complex: the boundary of each
-    # kept cell lies in the kept cells, so ranking at kept positions is sound
+    # kept cell lies in the kept cells, so ranking at kept ids is sound
     for _ in range(20):
         n = rng.randrange(5, 9)
         sigma = frozenset(v for v in range(1, n + 1) if rng.random() < 0.6)
         R = restrict(build(n), sigma)
         cc = chain_complex(R)
-        for k, positions in R.kept.items():
+        for k, ids in R.kept.items():
             if k < 0:
                 continue
-            lower = {cc.first[k - 1] + q for q in R.kept.get(k - 1, ())}
-            for p in positions:
-                assert set(cc.table[cc.first[k] + p]) <= lower, (n, sorted(sigma), k, p)
+            lower = set(R.kept.get(k - 1, ()))
+            for g in ids:
+                assert set(cc.table[g]) <= lower, (n, sorted(sigma), k, g)
 
     # cover pairs only ever grow the vertex label
     for n in range(4, 10):

@@ -10,6 +10,7 @@ from cycleres.associahedron import (
     f_formula,
     restrict,
 )
+from cycleres.homology import chain_complex
 from cycleres.polygon import Diagonal, support, vertices
 
 
@@ -41,7 +42,7 @@ def test_build_canonical_ids():
     assert X.faces[0].label == 0
     # vertices come next, in lexicographic diagonal order
     assert X.faces[1].diagonals == (Diagonal(1, 3),)
-    assert [f.id for f in X.faces] == list(range(len(X)))
+    assert all(X.face_id(f.diagonals) == g for g, f in enumerate(X.faces[:-1]))
     interior = X.faces[-1]
     assert interior.is_interior
     assert interior.dim == 3
@@ -67,15 +68,14 @@ def test_cover_counts():
     X = build(6)
     below = X.covers_below()
     # every vertex covers exactly the empty face
-    for v in X.faces_of_dim(0):
-        assert below[v.id] == [0]
+    for v in X.kept[0]:
+        assert below[v] == [0]
     # the interior cell covers all 14 triangulations
-    interior = X.faces[-1]
-    assert sorted(below[interior.id]) == sorted(f.id for f in X.facets())
+    assert [X.faces[g] for g in sorted(below[-1])] == X.facets()
     # a k-diagonal face covers exactly k subfaces
-    for f in X.faces:
+    for g, f in enumerate(X.faces):
         if not f.is_interior and f.dim >= 0:
-            assert len(below[f.id]) == len(f.diagonals)
+            assert len(below[g]) == len(f.diagonals)
 
 
 def test_facets_are_triangulations():
@@ -131,8 +131,9 @@ def test_restrict_derives_covers_interior_and_f_vector(n):
     for mask in range(1 << n):
         sigma = frozenset(v for v in full if mask >> (v - 1) & 1)
         R = restrict(X, sigma)
-        kept = [f for f in X.faces if f.label & ~mask == 0]
-        idmap = {f.id: i for i, f in enumerate(kept)}
+        kept_ids = [g for g, f in enumerate(X.faces) if f.label & ~mask == 0]
+        kept = [X.faces[g] for g in kept_ids]
+        idmap = {g: i for i, g in enumerate(kept_ids)}
         expected = [
             (idmap[lo], idmap[hi]) for lo, hi in X.covers if lo in idmap and hi in idmap
         ]
@@ -147,39 +148,36 @@ def test_restrict_derives_covers_interior_and_f_vector(n):
 
 def test_unclosed_face_list_rejected():
     faces = [f for f in build(5).faces if f.diagonals != (Diagonal(1, 3),)]
-    faces = [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(faces)]
     with pytest.raises(ValueError, match=r"lacks its subface \{1-3\}"):
         LabeledComplex(5, faces)
-
-
-def _renumbered(faces):
-    return [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(faces)]
 
 
 def test_face_list_out_of_canonical_order_rejected():
     faces = build(5).faces
     vertex, edge, interior = faces[1], faces[6], faces[-1]
     assert (vertex.dim, edge.dim, interior.dim) == (0, 1, 2)
-    shifted = [Face(f.id + 100, f.dim, f.diagonals, f.label) for f in faces]
-    vertex_late = _renumbered([faces[0], *faces[2:7], vertex, *faces[7:]])
-    interior_early = _renumbered([*faces[:-2], interior, faces[-2]])
-    interior_low = [*faces[:-1], Face(interior.id, 1, None, interior.label)]
+    vertex_late = [faces[0], *faces[2:7], vertex, *faces[7:]]
+    interior_early = [*faces[:-2], interior, faces[-2]]
+    interior_low = [*faces[:-1], Face(1, None, interior.label)]
     last = faces[-2]
-    misdimensioned = [*faces[:-2], Face(last.id, 2, last.diagonals, last.label), interior]
+    misdimensioned = [*faces[:-2], Face(2, last.diagonals, last.label), interior]
     three = (Diagonal(1, 3), Diagonal(1, 4), Diagonal(2, 4))
-    simplicial_top = [*faces[:-1], Face(interior.id, 2, three, 0b11111)]
+    simplicial_top = [*faces[:-1], Face(2, three, 0b11111)]
+    duplicated = [*faces[:2], vertex, *faces[2:]]
+    swapped = [faces[0], faces[2], vertex, *faces[3:]]
     cases = [
-        (shifted, "face {} has id 100 at position 0"),
         (vertex_late, "face {1-3} of dimension 0 follows one of dimension 1"),
         (interior_early, "face <interior> of dimension 2 is not last at dimension 2"),
         (interior_low, "face <interior> of dimension 1 is not last at dimension 2"),
         (misdimensioned, "face {2-5,3-5} has 2 diagonals at dimension 2"),
         (simplicial_top, "face {1-3,1-4,2-4} has dimension 2, which only the interior"),
+        (duplicated, "face {1-3} does not follow {1-3} lexicographically"),
+        (swapped, "face {1-3} does not follow {1-4} lexicographically"),
     ]
     for bad, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             LabeledComplex(5, bad)
-    assert LabeledComplex(5, _renumbered(faces)).covers == build(5).covers
+    assert LabeledComplex(5, list(faces)).covers == build(5).covers
 
 
 def _complexes(n):
@@ -208,17 +206,40 @@ def test_equal_label_covers_match_the_covers_oracle():
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_every_complex_has_kept_positions(n):
     for Y in _complexes(n):
-        if Y.parent is None:
-            assert Y.kept == {d: range(len(Y.faces_of_dim(d))) for d in Y.kept}
         owner = Y if Y.parent is None else Y.parent
         assert sum(map(len, Y.kept.values())) == len(Y.faces)
         assert [f.label for f in Y.faces] == [
-            owner.faces_of_dim(d)[p].label for d, ps in Y.kept.items() for p in ps
+            owner.faces[g].label for ids in Y.kept.values() for g in ids
         ]
         dims = [f.dim for f in Y.faces]
         assert Y.f_vector() == [dims.count(d) for d in range(-1, max(dims) + 1)]
         assert Y.has_interior == any(f.is_interior for f in Y.faces)
         assert Y.diagonals() == [f.diagonals[0] for f in Y.faces if f.dim == 0]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_restrictions_hold_their_parents_faces(n):
+    for R in _complexes(n):
+        if R.parent is None:
+            continue
+        ids = [g for block in R.kept.values() for g in block]
+        assert len(R.faces) == len(ids)
+        assert all(f is R.parent.faces[g] for f, g in zip(R.faces, ids))
+
+
+def test_dimension_blocks_tile_the_face_list():
+    for n in range(4, 9):
+        X = build(n)
+        for Y in (X, boundary_complex(X)):
+            by_dim: dict[int, list[int]] = {}
+            for g, f in enumerate(Y.faces):
+                by_dim.setdefault(f.dim, []).append(g)
+            assert all(isinstance(block, range) for block in Y.kept.values())
+            assert {d: list(block) for d, block in Y.kept.items()} == by_dim
+            assert list(Y.kept) == sorted(by_dim) == list(range(-1, Y.dim + 1))
+            assert [g for block in Y.kept.values() for g in block] == list(range(len(Y)))
+            assert chain_complex(Y).bases == Y.kept
+            assert all(Y.faces_of_dim(d) == Y.faces[b.start : b.stop] for d, b in Y.kept.items())
 
 
 def test_restrict_is_closed_under_subfaces():
@@ -234,7 +255,7 @@ def test_restrict_is_closed_under_subfaces():
 def test_restrict_rejects_a_non_monotone_cover():
     X = build(6)
     interior = X.faces[-1]
-    Y = LabeledComplex(6, X.faces[:-1] + [Face(interior.id, interior.dim, None, (1 << 6) - 2)])
+    Y = LabeledComplex(6, X.faces[:-1] + [Face(interior.dim, None, (1 << 6) - 2)])
     message = re.escape(
         "cover {1-3,1-4,1-5} < <interior> is not label-monotone:"
         " label [1, 3, 4, 5] is not inside [2, 3, 4, 5, 6]"
@@ -250,23 +271,20 @@ def test_restriction_derives_faces_when_read():
     R = restrict(X, {1, 2, 3, 5, 6})
     assert "_labels" in vars(X)
     assert R.parent is X
-    kept = {
-        d: [i for i, f in enumerate(X.faces_of_dim(d)) if f.label & ~0b0110111 == 0]
-        for d in range(-1, 4)
-    }
-    assert R.kept == {d: ps for d, ps in kept.items() if ps}
-    assert not {"faces", "covers", "_by_diagonals", "_by_dim"} & set(vars(R))
-    f_vector = [len(ps) for ps in R.kept.values()]
+    kept = {d: [g for g in X.kept[d] if X.faces[g].label & ~0b0110111 == 0] for d in range(-1, 4)}
+    assert R.kept == {d: ids for d, ids in kept.items() if ids}
+    assert not {"faces", "covers", "_by_diagonals", "_below"} & set(vars(R))
+    f_vector = [len(ids) for ids in R.kept.values()]
     assert (len(R), R.f_vector(), R.dim) == (sum(f_vector), f_vector, len(f_vector) - 2)
     assert not R.is_empty and not R.has_interior
     assert R.diagonals() == [
         f.diagonals[0] for f in X.faces_of_dim(0) if f.label & ~0b0110111 == 0
     ]
     assert not {"faces", "covers"} & set(vars(R))
-    assert [f.id for f in R.faces] == list(range(len(R)))
+    assert R.faces == [X.faces[g] for ids in R.kept.values() for g in ids]
     assert R.f_vector() == f_vector and R.dim == len(f_vector) - 2
-    assert R.face_by_diagonals([(1, 3), (1, 5)]).label == 0b10101
-    assert R.diagonals() == [f.diagonals[0] for f in R.faces_of_dim(0)]
+    assert R.faces[R.face_id([(1, 3), (1, 5)])].label == 0b10101
+    assert R.diagonals() == [f.diagonals[0] for f in R.faces if f.dim == 0]
 
 
 def test_restriction_of_a_restriction():
@@ -275,6 +293,8 @@ def test_restriction_of_a_restriction():
     direct = restrict(X, {1, 3, 4, 6})
     assert R.faces == direct.faces
     assert R.covers == direct.covers
+    # a label filter of a label filter is one of the face list
+    assert R.parent is X and R.kept == direct.kept
     with pytest.raises(AttributeError):
         R.no_such_attribute
 
@@ -298,9 +318,9 @@ def test_hasse_pairs_sorted_and_consistent():
 
 def test_face_lookup():
     X = build(6)
-    f = X.face_by_diagonals([(1, 3), (4, 6)])
-    assert f is not None and f.dim == 1
-    assert X.face_by_diagonals([(1, 3), (2, 6)]) is None
+    fid = X.face_id([(1, 3), (4, 6)])
+    assert fid is not None and X.faces[fid].dim == 1
+    assert X.face_id([(1, 3), (2, 6)]) is None
 
 
 def test_json_round_shape():

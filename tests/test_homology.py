@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleres.associahedron import Face, LabeledComplex, boundary_complex, build, restrict
+from cycleres.associahedron import LabeledComplex, boundary_complex, build, restrict
 from cycleres.homology import (
     ChainComplex,
     Field,
@@ -135,7 +135,7 @@ def test_pentagon_boundary_rank():
 
 def test_rank_plus_nullity():
     cc = chain_complex(build(6))
-    for k in cc.dims:
+    for k in cc.bases:
         assert 0 <= cc.rank(k, Field.RATIONAL) <= len(cc.bases[k])
 
 
@@ -177,20 +177,17 @@ def test_boundary_columns_match_the_facet_table(n, signed_boundary):
     # simplicial ones from the diagonals alone and compare
     X = build(n)
     cc = chain_complex(X)
-    assert cc.dims == list(range(-1, n - 2))
-    simplices = {k: [f.diagonals for f in X.faces_of_dim(k)] for k in range(-1, n - 3)}
+    assert list(cc.bases) == list(range(-1, n - 2))
+    ids = {f.diagonals: g for g, f in enumerate(X.faces)}
     for k in range(n - 3):
-        position = {ds: p for p, ds in enumerate(simplices[k - 1])}
-        for p, ds in enumerate(simplices[k]):
-            expected = {
-                cc.first[k - 1] + position[ds[:i] + ds[i + 1 :]]: (-1) ** i
-                for i in range(len(ds))
-            }
-            assert signed_boundary(cc, cc.first[k] + p) == expected, (k, ds)
+        for g in cc.bases[k]:
+            ds = X.faces[g].diagonals
+            expected = {ids[ds[:i] + ds[i + 1 :]]: (-1) ** i for i in range(len(ds))}
+            assert signed_boundary(cc, g) == expected, (k, ds)
     # the interior covers every triangulation once; its signs are checked
     # by test_interior_column_signs_cancel_over_rationals and dd = 0
-    [interior] = X.faces_of_dim(n - 3)
-    assert cc.table[interior.id] == [f.id for f in X.facets()]
+    [interior] = cc.bases[n - 3]
+    assert cc.table[interior] == list(cc.bases[n - 4])
 
 
 def test_chain_complex_reads_the_facet_table_in_place():
@@ -235,20 +232,21 @@ def test_chain_complex_ranks_match_fraction_elimination(dense_boundary):
     for X in complexes:
         if X.is_empty:
             continue
-        # a restriction ranks its parent's columns at its kept positions
+        # a restriction ranks its parent's columns at its kept ids
         cc = chain_complex(X)
-        kept = X.kept or {k: range(len(cc.bases[k])) for k in cc.dims}
+        kept = X.kept
         for k in range(max(kept) + 1):
             dense = dense_boundary(cc, k, Field.RATIONAL)
+            columns = [cc.bases[k].index(g) for g in kept[k]]
             rank = cc.rank(k, Field.RATIONAL, kept[k])
-            assert rank == _rank_fraction([[row[j] for j in kept[k]] for row in dense])
+            assert rank == _rank_fraction([[row[j] for j in columns] for row in dense])
             assert cc.rank(k, Field.GF2, kept[k]) <= rank
 
 
 def _betti_without_clearing(X, field):
     """Reduced Betti numbers from every column of every dimension, ranked in full."""
     cc = chain_complex(X)
-    kept = X.kept or {k: range(len(cc.bases[k])) for k in cc.dims}
+    kept = X.kept
     ranks = [cc.rank(k, field, kept[k]) for k in range(max(kept) + 1)] + [0]
     return [len(kept[k]) - ranks[k] - ranks[k + 1] for k in range(max(kept) + 1)]
 
@@ -268,8 +266,7 @@ def test_clearing_matches_ranks_without_clearing(n):
 
 def _rebuilt(X, mask):
     """The restriction of X to mask as a new face list: full assembly and dd = 0 check."""
-    kept = [f for f in X.faces if not f.label & ~mask]
-    return LabeledComplex(X.n, [Face(i, f.dim, f.diagonals, f.label) for i, f in enumerate(kept)])
+    return LabeledComplex(X.n, [f for f in X.faces if not f.label & ~mask])
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -302,7 +299,7 @@ def test_simplicial_reduced_betti_known_spaces():
     assert simplicial_reduced_betti(faces, Field.RATIONAL) == [0, 0, 1]
 
 
-_SEGMENT = {-1: [()], 0: [(1,), (2,)], 1: [(1, 2)]}
+_SEGMENT = {-1: [0], 0: [1, 2], 1: [3]}
 _SEGMENT_TABLE = [[], [0], [0], [1, 2]]
 
 
@@ -312,6 +309,21 @@ def test_boundary_squared_zero_is_checked():
     # over the integers, so no field may use it
     with pytest.raises(RuntimeError):
         ChainComplex(_SEGMENT, _SEGMENT_TABLE, {3: [1, 1]})
+
+
+@pytest.mark.parametrize(
+    "bases",
+    [
+        {-1: [0], 0: [1, 1], 1: [3]},
+        {-1: [0], 0: [1, 2], 1: [4]},
+        {-1: [0], 0: [1, 2], 1: [2, 3]},
+        {-1: [0], 0: [1, 2]},
+    ],
+    ids=["repeated", "skipped", "repeated-across-dimensions", "missing"],
+)
+def test_bases_must_hold_each_id_once(bases):
+    with pytest.raises(ValueError, match=r"each id 0\.\.3 exactly once"):
+        ChainComplex(bases, _SEGMENT_TABLE)
 
 
 @pytest.mark.parametrize("signs", [[1], [1, -1, 1], [], [2, -2], [1, 0], [-1, 3]])
@@ -324,7 +336,7 @@ def test_default_signs_cover_any_row_length():
     # two 1-cells over 300 points: the long one must keep its signs past
     # any fixed length, or it would equal the short one
     points = 300
-    bases = {-1: [()], 0: list(range(points)), 1: ["long", "short"]}
+    bases = {-1: [0], 0: range(1, points + 1), 1: [points + 1, points + 2]}
     table = [[], *[[0]] * points, list(range(1, points + 1)), list(range(1, 129))]
     cc = ChainComplex(bases, table)
     for field in Field:
@@ -333,8 +345,8 @@ def test_default_signs_cover_any_row_length():
 
 def test_chain_complex_dimensions_contiguous():
     cc = chain_complex(build(6))
-    assert cc.dims == [-1, 0, 1, 2, 3]
-    assert [len(cc.bases[k]) for k in cc.dims] == [1, 9, 21, 14, 1]
+    assert list(cc.bases) == [-1, 0, 1, 2, 3]
+    assert [len(cc.bases[k]) for k in cc.bases] == [1, 9, 21, 14, 1]
 
 
 def test_one_chain_complex_per_face_list():

@@ -66,8 +66,8 @@ def test_empty_matching_is_valid():
 
 def test_validate_rejects_unequal_labels():
     X = build(6)
-    lo = X.face_by_diagonals([(1, 3)]).id
-    hi = X.face_by_diagonals([(1, 3), (1, 4)]).id
+    lo = X.face_id([(1, 3)])
+    hi = X.face_id([(1, 3), (1, 4)])
     report = validate(MorseMatching(((lo, hi),)), X)
     assert not report.ok
     assert any("labels" in p for p in report.problems)
@@ -75,8 +75,8 @@ def test_validate_rejects_unequal_labels():
 
 def test_validate_rejects_non_cover():
     X = build(6)
-    lo = X.face_by_diagonals([(1, 3)]).id
-    hi = X.face_by_diagonals([(1, 3), (1, 4), (1, 5)]).id
+    lo = X.face_id([(1, 3)])
+    hi = X.face_id([(1, 3), (1, 4), (1, 5)])
     report = validate(MorseMatching(((lo, hi),)), X)
     assert not report.ok
     assert any("not a cover" in p for p in report.problems)
@@ -92,7 +92,7 @@ def test_validate_reports_foreign_ids_as_non_covers():
     assert validate(m, X).problems == expected
     assert validate(m, X, full_graph=True).problems == expected
     # id -1 must not stand for the interior cell, whose row lists the triangulations
-    t = X.facets()[0].id
+    t = X.kept[X.n - 4][0]
     assert validate(MorseMatching(((t, -1),)), X).problems == (
         f"pair ({t},-1) is not a cover relation",
     )
@@ -100,9 +100,9 @@ def test_validate_reports_foreign_ids_as_non_covers():
 
 def test_validate_rejects_double_use():
     X = build(6)
-    lo = X.face_by_diagonals([(1, 3), (4, 6)]).id
-    hi1 = X.face_by_diagonals([(1, 3), (3, 6), (4, 6)]).id
-    hi2 = X.face_by_diagonals([(1, 3), (1, 4), (4, 6)]).id
+    lo = X.face_id([(1, 3), (4, 6)])
+    hi1 = X.face_id([(1, 3), (3, 6), (4, 6)])
+    hi2 = X.face_id([(1, 3), (1, 4), (4, 6)])
     report = validate(MorseMatching(((lo, hi1), (lo, hi2))), X)
     assert not report.ok
     assert any("appears in 2 pairs" in p for p in report.problems)
@@ -112,7 +112,7 @@ def test_validate_rejects_directed_cycle():
     # three vertex-edge pairs arranged in a ring; labels are wrong too,
     # but both cycle detectors must fire
     X = build(6)
-    fid = lambda ds: X.face_by_diagonals(ds).id
+    fid = X.face_id
     bad = MorseMatching((
         (fid([(1, 3)]), fid([(1, 3), (3, 5)])),
         (fid([(3, 5)]), fid([(1, 5), (3, 5)])),

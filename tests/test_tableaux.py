@@ -193,6 +193,16 @@ def test_involution_exhaustive_small():
             assert fixed == betti_closed_form(n, d)
 
 
+def test_involution_fixed_points_are_the_betti_tableaux():
+    # the paper's claim itself: deleting the large entries of the fixed
+    # tableaux gives every syzygy tableau exactly once
+    for n in range(5, 10):
+        for d in range(1, n - 2):
+            fixed = [t for t in enumerate_family(n, d) if involution(t) == t]
+            restricted = sorted(restrict_to_syzygy(t) for t in fixed)
+            assert restricted == enumerate_syt(syzygy_shape(n, d)), (n, d)
+
+
 def test_tableau_render_and_json():
     t = Tableau(((1, 2), (3, 4), (5,)))
     assert t.to_json() == [[1, 2], [3, 4], [5]]
