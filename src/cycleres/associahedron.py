@@ -10,14 +10,18 @@ sphere into a ball.
 
 A face is its position: its id is its index in the face list that holds
 it, and every id the module hands out (``kept``, the facet table, the
-label index, ``face_id``) is such an index.
+label index, ``face_id``) is such an index.  A restriction and the
+boundary sphere are views of the face list, so a face has one id in
+every complex that holds it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from .polygon import Diagonal, all_diagonals, iter_noncrossing, support, vertices
@@ -54,10 +58,6 @@ class Face:
         }
 
 
-# What a restriction derives from its kept faces on first read.
-_DERIVED = frozenset({"faces", "_below", "_by_diagonals"})
-
-
 def _dimension_blocks(n: int, faces: list[Face]) -> dict[int, range]:
     """The ids of each dimension of a face list in canonical order, as ranges.
 
@@ -86,28 +86,27 @@ def _dimension_blocks(n: int, faces: list[Face]) -> dict[int, range]:
 
 
 class LabeledComplex:
-    """A face list and what it determines, immutable after construction.
+    """A face list, or a view of one, immutable after construction.
 
     A face is its position in the face list that holds it: that is its
-    id.  Faces are stored in canonical order (by dimension, then
-    lexicographically by dissection; the interior cell last); the
-    constructor raises ValueError at the first face out of that order,
-    or whose dimension is not its number of diagonals minus one.  It
-    derives the cover relation once, as the facet table
-    ``covers_below()``: row i lists the ids of the faces that face i
-    covers.  A simplicial face covers its dissection minus one diagonal,
-    and the interior cell covers every triangulation.  A missing subface
-    raises ValueError, so every complex built from a face list is closed
-    under subfaces.  ``covers`` lists the same relation as sorted pairs,
-    derived from the table on each read.
+    id, and it is the same in every complex that holds the face.  Faces
+    are stored in canonical order (by dimension, then lexicographically
+    by dissection; the interior cell last); the constructor raises
+    ValueError at the first face out of that order, or whose dimension
+    is not its number of diagonals minus one.  It derives the cover
+    relation once, as the facet table ``covers_below()``: row i lists the
+    ids of the faces that face i covers.  A simplicial face covers its
+    dissection minus one diagonal, and the interior cell covers every
+    triangulation.  A missing subface raises ValueError, so every
+    complex built from a face list is closed under subfaces.
 
-    ``kept`` holds, per dimension, the ids of the complex's faces in the
-    face list that owns them.  A face list stores its dimension blocks
-    once, as id ranges, and they are its ``kept``.  A restriction (see
-    ``restrict``) is a label filter of its ``parent`` face list and keeps
-    the parent's ids; it derives its own face list, holding the parent's
-    ``Face`` objects, its facet table and lookup only when one of them
-    is read, and numbers its faces by their positions there.
+    ``kept`` holds, per dimension, the ids of the complex's faces, and
+    every reader of them iterates ``ids()``.  A face list's ``kept`` is
+    its dimension blocks, stored once as id ranges.  A view (see
+    ``restrict`` and ``boundary_complex``) records the face list as its
+    ``parent``, shares its ``faces``, facet table and lookup, and owns
+    only its ``kept`` ids, which are closed under subfaces.  So a view's
+    ``faces`` may hold faces it does not keep; ``fid in X`` tells.
     """
 
     parent: LabeledComplex | None = None
@@ -120,23 +119,6 @@ class LabeledComplex:
     def __init__(self, n: int, faces: list[Face]) -> None:
         self.kept = _dimension_blocks(n, faces)
         self.n = n
-        self._derive(faces)
-
-    @classmethod
-    def _restriction(cls, parent: LabeledComplex, kept: dict[int, list[int]]) -> LabeledComplex:
-        R = cls.__new__(cls)
-        R.n, R.parent, R.kept = parent.n, parent, kept
-        return R
-
-    def __getattr__(self, name: str):
-        # Reached only for attributes not yet set: a restriction's derived ones.
-        if name not in _DERIVED or self.parent is None:
-            raise AttributeError(name)
-        faces = self.parent.faces
-        self._derive([faces[i] for ids in self.kept.values() for i in ids])
-        return getattr(self, name)
-
-    def _derive(self, faces: list[Face]) -> None:
         self.faces = faces
         self._by_diagonals: dict[tuple[Diagonal, ...], int] = {
             f.diagonals: i for i, f in enumerate(faces) if f.diagonals is not None
@@ -145,7 +127,7 @@ class LabeledComplex:
         for f in faces:
             ds = f.diagonals
             if ds is None:
-                below.append([i for i, g in enumerate(faces) if g.dim == self.n - 4])
+                below.append(list(self.kept.get(n - 4, ())))
                 continue
             row = []
             for i in range(len(ds)):
@@ -157,6 +139,14 @@ class LabeledComplex:
                 row.append(lo)
             below.append(row)
         self._below = below
+
+    def _view(self, kept: dict[int, Sequence[int]]) -> LabeledComplex:
+        """The complex of the ids ``kept`` of this complex's face list, sharing it."""
+        owner = self if self.parent is None else self.parent
+        V = LabeledComplex.__new__(LabeledComplex)
+        V.n, V.parent, V.kept = owner.n, owner, kept
+        V.faces, V._by_diagonals, V._below = owner.faces, owner._by_diagonals, owner._below
+        return V
 
     def _label_index(self) -> dict[int, dict[int, list[int]]]:
         """Ids by label, then dimension, built once.
@@ -181,6 +171,18 @@ class LabeledComplex:
             self._labels = dict(index)
         return self._labels
 
+    def ids(self) -> Iterator[int]:
+        """The ids of the complex's faces, by dimension and then in id order."""
+        return chain.from_iterable(self.kept.values())
+
+    def __contains__(self, fid: int) -> bool:
+        """Whether the complex keeps the face with id fid."""
+        ids = self.kept.get(self.faces[fid].dim, ()) if 0 <= fid < len(self.faces) else ()
+        if isinstance(ids, range):  # a face list's block: bisecting a range is slow
+            return fid in ids
+        i = bisect_left(ids, fid)  # a restriction keeps sorted lists
+        return i < len(ids) and ids[i] == fid
+
     def __len__(self) -> int:
         return sum(map(len, self.kept.values()))
 
@@ -197,17 +199,14 @@ class LabeledComplex:
         """True when the complex holds nothing beyond the empty face."""
         return all(d < 0 for d in self.kept)
 
-    def face(self, fid: int) -> Face:
-        return self.faces[fid]
-
     def face_id(self, diagonals: Iterable[tuple[int, int]]) -> int | None:
-        """The id of the face with these diagonals, in order, or None if there is none."""
-        return self._by_diagonals.get(tuple(Diagonal(a, b) for a, b in diagonals))
+        """The id of the kept face with these diagonals, in order, or None if there is none."""
+        fid = self._by_diagonals.get(tuple(Diagonal(a, b) for a, b in diagonals))
+        return fid if fid is not None and fid in self else None
 
     def faces_of_dim(self, dim: int) -> list[Face]:
-        """The faces of dimension dim, read at the kept ids, so a restriction derives none."""
-        faces = (self if self.parent is None else self.parent).faces
-        return [faces[i] for i in self.kept.get(dim, ())]
+        """The faces of dimension dim, in id order."""
+        return [self.faces[i] for i in self.kept.get(dim, ())]
 
     def diagonals(self) -> list[Diagonal]:
         """The diagonals of the vertices (0-faces), in canonical order."""
@@ -218,34 +217,36 @@ class LabeledComplex:
         return self.faces_of_dim(self.n - 4)
 
     def covers_below(self) -> list[list[int]]:
-        """The facet table, indexed by face id: the ids of the faces each face covers.
+        """The facet table of the face list, indexed by face id: the ids each face covers.
 
         A simplicial face's row holds its dissection minus its i-th
         diagonal at index i; the interior cell's row holds the
-        triangulations in id order.  The table is the stored cover
-        relation, not a copy: callers must not change it.
+        triangulations in id order.  A view shares its face list's table,
+        whose rows at the kept ids hold only kept ids.  The table is the
+        stored cover relation, not a copy: callers must not change it.
         """
         return self._below
 
     @property
     def covers(self) -> list[tuple[int, int]]:
-        """Every pair (F, G) with F a facet of G, sorted.
+        """Every pair (F, G) of kept faces with F a facet of G, sorted.
 
         Derived from the facet table on each read; nothing else stores it.
         """
-        return sorted((lo, hi) for hi, row in enumerate(self._below) for lo in row)
+        return sorted((lo, hi) for hi in self.ids() for lo in self._below[hi])
 
     def equal_label_covers(self) -> list[tuple[int, int]]:
         """The pairs of ``covers`` whose faces have equal labels, sorted from the facet table."""
-        labels = [f.label for f in self.faces]
+        faces, below = self.faces, self._below
         return sorted(
-            (lo, hi) for hi, row in enumerate(self._below) for lo in row if labels[lo] == labels[hi]
+            (lo, hi) for hi in self.ids() for lo in below[hi] if faces[lo].label == faces[hi].label
         )
 
     def maximal_faces(self) -> list[Face]:
         """Faces with no cover above them (the interior cell counts)."""
-        lowers = {lo for row in self._below for lo in row}
-        return [f for i, f in enumerate(self.faces) if i not in lowers and f.dim >= 0]
+        faces, below = self.faces, self._below
+        lowers = {lo for hi in self.ids() for lo in below[hi]}
+        return [faces[g] for g in self.ids() if g not in lowers and faces[g].dim >= 0]
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 up; (f(n,0), ..., f(n,n-3), 1) for A_n."""
@@ -254,7 +255,7 @@ class LabeledComplex:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "faces": [{"id": i, **f.to_json()} for i, f in enumerate(self.faces)],
+            "faces": [{"id": g, **self.faces[g].to_json()} for g in self.ids()],
             "covers": [[lo, hi] for lo, hi in self.covers],
         }
 
@@ -288,28 +289,22 @@ def build(n: int) -> LabeledComplex:
 
 
 def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
-    """Subcomplex of faces whose label is contained in sigma.
+    """The view of X's faces whose label is contained in sigma.
 
-    The first call on a face list X builds its label index, after checking
-    once that every cover of X is label-monotone: a face's subfaces then
-    have labels inside its own, so every label filter is closed under
-    subfaces and no restriction repeats the closure check.  The kept faces
-    are the union of the label buckets inside sigma; the result records X
-    as its ``parent`` and the kept ids per dimension as ``kept``, and
-    derives its faces, facet table and lookup only when they are read.
-    A restriction of a restriction filters its kept ids by label, so its
-    parent is the same face list.  The interior cell survives only when
-    sigma is all of 1..n.
+    The first call on a face list, or on a view of it, builds the face
+    list's label index, after checking once that every cover there is
+    label-monotone: a face's subfaces then have labels inside its own, so
+    every label filter is closed under subfaces and no restriction repeats
+    the closure check.  The kept faces are the union of the label buckets
+    inside sigma, less those a view X does not keep; the result is a view
+    of the face list, keeping its ids.  The interior cell survives only
+    when sigma is all of 1..n.
     """
     sig = set(sigma)
     mask = sum(1 << (v - 1) for v in range(1, X.n + 1) if v in sig)
     if mask.bit_count() != len(sig):
         raise ValueError(f"sigma {sorted(sig)} is not a subset of 1..{X.n}")
-    if X.parent is not None:
-        faces = X.parent.faces
-        kept = {d: [i for i in ids if not faces[i].label & ~mask] for d, ids in X.kept.items()}
-        return LabeledComplex._restriction(X.parent, {d: ids for d, ids in kept.items() if ids})
-    index = X._label_index()
+    index = (X if X.parent is None else X.parent)._label_index()
     found: dict[int, list[int]] = defaultdict(list)
     sub = mask
     while True:  # every label inside mask: its submasks, mask first and 0 last
@@ -318,11 +313,14 @@ def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
         if not sub:
             break
         sub = (sub - 1) & mask
-    return LabeledComplex._restriction(X, {d: sorted(found[d]) for d in sorted(found)})
+    kept = {d: sorted(found[d]) for d in sorted(found)}
+    if X.parent is not None:
+        kept = {d: [g for g in ids if g in X] for d, ids in kept.items()}
+    return X._view({d: ids for d, ids in kept.items() if ids})
 
 
 def boundary_complex(X: LabeledComplex) -> LabeledComplex:
-    """The complex with the interior cell removed (the simplicial sphere)."""
+    """The view of X without the interior cell (the simplicial sphere), or X if it has none."""
     if not X.has_interior:
         return X
-    return LabeledComplex(X.n, X.faces[:-1])
+    return X._view({d: ids for d, ids in X.kept.items() if d != X.n - 3})

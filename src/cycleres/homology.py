@@ -13,10 +13,10 @@ the interior cell has).  For A_n the table is ``covers_below()`` itself,
 not a copy; dd = 0 is checked once over the integers.  Each rank builds
 the rows it needs for the field asked for, as id sets for GF(2) and
 ``{id: ±1}`` dicts for the rationals, and reduces them against pivot
-rows keyed by their largest id.  A restriction ranks its parent's rows
-at its kept ids.  Betti numbers rank from the top dimension down with
-clearing (Chen & Kerber, "Persistent homology computation with a twist",
-2011).
+rows keyed by their largest id.  A view (a restriction or the boundary
+sphere) ranks its face list's rows at its kept ids.  Betti numbers rank
+from the top dimension down with clearing (Chen & Kerber, "Persistent
+homology computation with a twist", 2011).
 """
 
 from __future__ import annotations
@@ -219,8 +219,8 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
     Its table is the face list's own ``covers_below()``: a simplicial
     face's row drops its i-th diagonal at index i, and only the interior
     cell gets explicit signs, from ``_interior_signs``.  Its bases are the
-    face list's dimension blocks, its ``kept``.  A restriction gets its
-    parent's complex, and every complex ranks it at the ids ``X.kept``.
+    face list's dimension blocks, its ``kept``.  A view gets its face
+    list's complex, and every complex ranks it at the ids ``X.kept``.
     The complex is made, and checked for dd = 0 over the integers, on the
     first call and kept on the face list.
     """

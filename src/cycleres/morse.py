@@ -4,7 +4,7 @@ The dimension-2 rule matches every superproper 2-diagonal face upward and
 every inscribed triangle downward; both moves keep the monomial label fixed,
 so the matching is algebraic.  Validation re-checks the cover relations, the
 label equalities, and acyclicity of the oriented Hasse diagram; unmatched
-faces are the critical cells.
+faces are the critical cells.  On a view of A_n, faces keep their ids in A_n.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
     Empty below n = 6, where neither face type exists.
     """
     pairs = []
-    for fid, face in enumerate(X.faces):
+    for fid in X.ids():
+        face = X.faces[fid]
         if face.is_interior:
             continue
         if face.dim == 1 and face.label.bit_count() == 4:
@@ -131,22 +132,22 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     """Check covers, single use, label equality, and acyclicity.
 
     With full_graph=True the acyclicity verdict is re-derived from the whole
-    oriented Hasse diagram instead of just the matched-pair graph.  A pair
-    with an id outside the complex is reported as not a cover; the label
-    and acyclicity checks see only the pairs that are covers.
+    oriented Hasse diagram of X instead of just the matched-pair graph.  A
+    pair whose upper id X does not keep is reported as not a cover; the
+    label and acyclicity checks see only the pairs that are covers.
     """
     problems = []
-    below = X.covers_below()
+    faces, below = X.faces, X.covers_below()
     covers = []
     for lo, hi in m.pairs:
-        if not (0 <= hi < len(below) and lo in below[hi]):
+        if not (hi in X and lo in below[hi]):
             problems.append(f"pair ({lo},{hi}) is not a cover relation")
             continue
         covers.append((lo, hi))
-        if X.face(lo).label != X.face(hi).label:
+        if faces[lo].label != faces[hi].label:
             problems.append(
-                f"pair ({lo},{hi}) joins labels {vertices(X.face(lo).label)}"
-                f" != {vertices(X.face(hi).label)}"
+                f"pair ({lo},{hi}) joins labels {vertices(faces[lo].label)}"
+                f" != {vertices(faces[hi].label)}"
             )
     use = Counter(fid for pair in m.pairs for fid in pair)
     for fid, k in sorted(use.items()):
@@ -160,13 +161,13 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     if full_graph:
         matched = set(covers)
         adj: list[list[int]] = [[] for _ in below]
-        for hi, row in enumerate(below):
-            for lo in row:
+        for hi in X.ids():
+            for lo in below[hi]:
                 if (lo, hi) in matched:
                     adj[lo].append(hi)
                 else:
                     adj[hi].append(lo)
-        cycle = _find_cycle(range(len(adj)), adj.__getitem__)
+        cycle = _find_cycle(X.ids(), adj.__getitem__)
         if cycle is not None:
             problems.append("oriented Hasse cycle " + "->".join(map(str, cycle)))
     return MatchingReport(not problems, tuple(problems))
@@ -174,12 +175,8 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
 
 def critical_cells(m: MorseMatching, X: LabeledComplex) -> dict[int, int]:
     """Unmatched face counts per dimension, the empty face (dim -1) included."""
-    counts = {dim: 0 for dim in range(-1, X.dim + 1)}
     matched = m.matched_ids
-    for fid, face in enumerate(X.faces):
-        if fid not in matched:
-            counts[face.dim] += 1
-    return counts
+    return {d: sum(g not in matched for g in X.kept.get(d, ())) for d in range(-1, X.dim + 1)}
 
 
 def _exact(num: int, den: int) -> int:

@@ -6,9 +6,9 @@ is empty or acyclic over the coefficient field.  The sweep below checks all
 non-empty proper restriction has an apex diagonal lying in all of its maximal
 faces, which explains the vanishing independently of the rank computation.
 
-Each restriction is a label filter on one A_n: closure under subfaces follows
-from A_n's covers being label-monotone, checked once by the first ``restrict``,
-and dd = 0 from A_n's chain complex, checked once by the first homology call.
+Each restriction is a view of one A_n, keeping its ids: it is closed under
+subfaces because A_n's covers are label-monotone (checked by the first
+``restrict``) and has dd = 0 because A_n's chain complex does (checked once).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def minimality_witnesses(X: LabeledComplex) -> list[tuple[Face, Face]]:
     Label monotonicity makes cover pairs sufficient: equality on any nested pair
     forces equality somewhere along a saturated chain between them.
     """
-    return [(X.face(lo), X.face(hi)) for lo, hi in X.equal_label_covers()]
+    return [(X.faces[lo], X.faces[hi]) for lo, hi in X.equal_label_covers()]
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def test_label_monotone_on_covers():
     for n in (5, 6, 7):
         X = build(n)
         for lo, hi in X.covers:
-            assert X.face(lo).label & ~X.face(hi).label == 0
+            assert X.faces[lo].label & ~X.faces[hi].label == 0
 
 
 def test_cover_counts():
@@ -131,12 +131,9 @@ def test_restrict_derives_covers_interior_and_f_vector(n):
     for mask in range(1 << n):
         sigma = frozenset(v for v in full if mask >> (v - 1) & 1)
         R = restrict(X, sigma)
-        kept_ids = [g for g, f in enumerate(X.faces) if f.label & ~mask == 0]
-        kept = [X.faces[g] for g in kept_ids]
-        idmap = {g: i for i, g in enumerate(kept_ids)}
-        expected = [
-            (idmap[lo], idmap[hi]) for lo, hi in X.covers if lo in idmap and hi in idmap
-        ]
+        kept_ids = {g for g, f in enumerate(X.faces) if f.label & ~mask == 0}
+        kept = [X.faces[g] for g in sorted(kept_ids)]
+        expected = [(lo, hi) for lo, hi in X.covers if lo in kept_ids and hi in kept_ids]
         assert R.covers == expected
         assert R.has_interior == (sigma == full)
         sizes = [0] * (max(len(f.diagonals) for f in kept if not f.is_interior) + 1)
@@ -197,7 +194,7 @@ def test_equal_label_covers_match_the_covers_oracle():
             oracle = [(lo, hi) for lo, hi in Y.covers if labels[lo] == labels[hi]]
             assert Y.equal_label_covers() == oracle, n
     for R in _complexes(6):
-        labels = [f.label for f in R.faces]
+        labels = {g: R.faces[g].label for g in R.ids()}
         assert R.equal_label_covers() == [
             (lo, hi) for lo, hi in R.covers if labels[lo] == labels[hi]
         ]
@@ -206,15 +203,14 @@ def test_equal_label_covers_match_the_covers_oracle():
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_every_complex_has_kept_positions(n):
     for Y in _complexes(n):
-        owner = Y if Y.parent is None else Y.parent
-        assert sum(map(len, Y.kept.values())) == len(Y.faces)
-        assert [f.label for f in Y.faces] == [
-            owner.faces[g].label for ids in Y.kept.values() for g in ids
-        ]
-        dims = [f.dim for f in Y.faces]
+        ids = list(Y.ids())
+        assert ids == [g for block in Y.kept.values() for g in block]
+        assert ids == sorted(set(ids)) and len(ids) == len(Y)
+        faces = [Y.faces[g] for g in ids]
+        dims = [f.dim for f in faces]
         assert Y.f_vector() == [dims.count(d) for d in range(-1, max(dims) + 1)]
-        assert Y.has_interior == any(f.is_interior for f in Y.faces)
-        assert Y.diagonals() == [f.diagonals[0] for f in Y.faces if f.dim == 0]
+        assert Y.has_interior == any(f.is_interior for f in faces)
+        assert Y.diagonals() == [f.diagonals[0] for f in faces if f.dim == 0]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -222,23 +218,53 @@ def test_restrictions_hold_their_parents_faces(n):
     for R in _complexes(n):
         if R.parent is None:
             continue
-        ids = [g for block in R.kept.values() for g in block]
-        assert len(R.faces) == len(ids)
-        assert all(f is R.parent.faces[g] for f, g in zip(R.faces, ids))
+        # a view shares its face list's faces, facet table and lookup
+        assert R.parent.parent is None
+        assert R.faces is R.parent.faces
+        assert R.covers_below() is R.parent.covers_below()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_a_face_has_one_id_in_every_complex(n):
+    X, *views = _complexes(n)
+    for Y in (X, *views):
+        for d in Y.kept:
+            assert [Y.faces[g] for g in Y.kept[d]] == Y.faces_of_dim(d)
+        kept = {g for ids in Y.kept.values() for g in ids}
+        for g, f in enumerate(X.faces):
+            if not f.is_interior:
+                assert Y.face_id(f.diagonals) == (g if g in kept else None), (g, f)
+    for Y in views:
+        assert Y.faces is X.faces
+        assert [g for g in range(len(X)) if g in Y] == list(Y.ids())
+
+
+def test_restriction_ids_are_the_face_lists_ids():
+    X = build(7)
+    R = restrict(X, {1, 2, 3, 5, 6})
+    g = R.kept[0][2]
+    assert R.faces[g] is X.faces[g]
+    assert (g, str(R.faces[g])) == (4, "{1-6}")
+    fid = R.face_id([(1, 3), (1, 5)])
+    assert fid in R.kept[1] and X.face_id([(1, 3), (1, 5)]) == fid
+    assert R.to_json()["faces"] == [{"id": g, **X.faces[g].to_json()} for g in R.ids()]
 
 
 def test_dimension_blocks_tile_the_face_list():
     for n in range(4, 9):
         X = build(n)
-        for Y in (X, boundary_complex(X)):
-            by_dim: dict[int, list[int]] = {}
-            for g, f in enumerate(Y.faces):
-                by_dim.setdefault(f.dim, []).append(g)
+        by_dim: dict[int, list[int]] = {}
+        for g, f in enumerate(X.faces):
+            by_dim.setdefault(f.dim, []).append(g)
+        # the boundary sphere keeps every block but the interior cell's
+        for Y, top in ((X, n - 3), (boundary_complex(X), n - 4)):
             assert all(isinstance(block, range) for block in Y.kept.values())
-            assert {d: list(block) for d, block in Y.kept.items()} == by_dim
-            assert list(Y.kept) == sorted(by_dim) == list(range(-1, Y.dim + 1))
-            assert [g for block in Y.kept.values() for g in block] == list(range(len(Y)))
-            assert chain_complex(Y).bases == Y.kept
+            expected = {d: ids for d, ids in by_dim.items() if d <= top}
+            assert {d: list(block) for d, block in Y.kept.items()} == expected
+            assert list(Y.kept) == sorted(expected) == list(range(-1, Y.dim + 1))
+            assert list(Y.ids()) == list(range(len(Y)))
+            assert chain_complex(Y) is chain_complex(X)
+            assert chain_complex(Y).bases == X.kept
             assert all(Y.faces_of_dim(d) == Y.faces[b.start : b.stop] for d, b in Y.kept.items())
 
 
@@ -246,7 +272,8 @@ def test_restrict_is_closed_under_subfaces():
     X = build(6)
     for sigma in [{1, 2, 3, 4}, {1, 3, 5}, {2, 4, 6}, {1, 2, 4, 5, 6}]:
         sub = restrict(X, sigma)
-        present = {f.diagonals for f in sub.faces if not f.is_interior}
+        present = {sub.faces[g].diagonals for g in sub.ids() if not sub.faces[g].is_interior}
+        assert len(present) == len(sub)
         for ds in present:
             for i in range(len(ds)):
                 assert ds[:i] + ds[i + 1 :] in present
@@ -273,18 +300,18 @@ def test_restriction_derives_faces_when_read():
     assert R.parent is X
     kept = {d: [g for g in X.kept[d] if X.faces[g].label & ~0b0110111 == 0] for d in range(-1, 4)}
     assert R.kept == {d: ids for d, ids in kept.items() if ids}
-    assert not {"faces", "covers", "_by_diagonals", "_below"} & set(vars(R))
+    # a view owns its kept ids and nothing its face list derives
+    assert not {"_labels", "_chains", "covers"} & set(vars(R))
+    assert R.faces is X.faces and R._by_diagonals is X._by_diagonals
     f_vector = [len(ids) for ids in R.kept.values()]
     assert (len(R), R.f_vector(), R.dim) == (sum(f_vector), f_vector, len(f_vector) - 2)
     assert not R.is_empty and not R.has_interior
     assert R.diagonals() == [
         f.diagonals[0] for f in X.faces_of_dim(0) if f.label & ~0b0110111 == 0
     ]
-    assert not {"faces", "covers"} & set(vars(R))
-    assert R.faces == [X.faces[g] for ids in R.kept.values() for g in ids]
-    assert R.f_vector() == f_vector and R.dim == len(f_vector) - 2
+    assert [R.faces[g] for g in R.ids()] == [X.faces[g] for ids in R.kept.values() for g in ids]
     assert R.faces[R.face_id([(1, 3), (1, 5)])].label == 0b10101
-    assert R.diagonals() == [f.diagonals[0] for f in R.faces if f.dim == 0]
+    assert R.diagonals() == [R.faces[g].diagonals[0] for g in R.kept[0]]
 
 
 def test_restriction_of_a_restriction():
@@ -303,7 +330,10 @@ def test_boundary_complex_drops_interior():
     X = build(6)
     B = boundary_complex(X)
     assert not B.has_interior
+    assert B.parent is X and B.faces is X.faces
+    assert B.covers_below() is X.covers_below()
     assert len(B) == len(X) - 1
+    assert len(X) - 1 not in B and B.face_id(X.faces[-2].diagonals) == len(X) - 2
     assert len(B.covers) == len(X.covers) - len(X.facets())
     assert B.f_vector() == [1, 9, 21, 14]
 
@@ -313,7 +343,7 @@ def test_hasse_pairs_sorted_and_consistent():
     pairs = list(X.covers)
     assert pairs == sorted(pairs)
     for lo, hi in pairs:
-        assert X.face(hi).dim == X.face(lo).dim + 1
+        assert X.faces[hi].dim == X.faces[lo].dim + 1
 
 
 def test_face_lookup():

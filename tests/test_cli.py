@@ -311,6 +311,31 @@ def test_involution_verify_json(capsys):
     assert data["problems"] == []
 
 
+def test_involution_verify_rejects_a_wrong_fixed_set(capsys, monkeypatch):
+    # the fixed set keeps its size, 16, but restricts onto one of the 16
+    # syzygy tableaux of shape (3,2,1) only
+    first = cli.enumerate_syt((3, 2, 1))[0]
+    monkeypatch.setattr(cli, "restrict_to_syzygy", lambda t: first)
+    code, out, _ = run(capsys, ["involution", "6", "2", "--verify"])
+    assert code == 1
+    assert out == (
+        "family (6,2): 21 tableaux\n"
+        "fixed: 16, β^6_2: 16, agree\n"
+        "σ² = id: FAILED\n"
+        "problem: fixed tableaux do not restrict onto the (3,2,1) tableaux\n"
+    )
+
+
+def test_involution_verify_at_n4_has_no_syzygy_check(capsys, monkeypatch):
+    def refuse(t):
+        raise ValueError("tableau does not restrict")
+
+    monkeypatch.setattr(cli, "restrict_to_syzygy", refuse)
+    code, out, _ = run(capsys, ["involution", "4", "1", "--verify"])
+    assert code == 0
+    assert out.endswith("σ² = id: verified\n")
+
+
 def test_complex_square_json(capsys):
     code, data, _ = run_json(capsys, ["complex", "4", "--json"])
     assert code == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from cycleres.associahedron import build
+from cycleres.associahedron import boundary_complex, build, restrict
 from cycleres.betti import betti_closed_form
 from cycleres.morse import (
     MorseMatching,
@@ -16,7 +16,7 @@ from cycleres.polygon import SupportClass, count_by_class
 
 def _pairs_by_diagonals(m, X):
     return {
-        X.face(lo).diagonals: X.face(hi).diagonals
+        X.faces[lo].diagonals: X.faces[hi].diagonals
         for lo, hi in m.pairs
     }
 
@@ -96,6 +96,39 @@ def test_validate_reports_foreign_ids_as_non_covers():
     assert validate(MorseMatching(((t, -1),)), X).problems == (
         f"pair ({t},-1) is not a cover relation",
     )
+
+
+def test_validate_reports_a_pair_outside_a_view_as_non_cover():
+    X = build(7)
+    R = restrict(X, {1, 2, 3, 4, 6})
+    outside = next(p for p in X.equal_label_covers() if p[1] not in R)
+    m = MorseMatching((outside,))
+    assert validate(m, X).ok
+    expected = (f"pair ({outside[0]},{outside[1]}) is not a cover relation",)
+    assert validate(m, R).problems == expected
+    assert validate(m, R, full_graph=True).problems == expected
+    # the interior cell covers every triangulation in A_n, but is no face of its boundary
+    B, top = boundary_complex(X), len(X) - 1
+    t = X.kept[X.n - 4][0]
+    assert validate(MorseMatching(((t, top),)), B).problems == (
+        f"pair ({t},{top}) is not a cover relation",
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_matching_on_a_view_uses_the_face_lists_ids(n):
+    X = build(n)
+    m = d2_matching(X)
+    for mask in range(1 << n):
+        R = restrict(X, [v for v in range(1, n + 1) if mask >> (v - 1) & 1])
+        mR = d2_matching(R)
+        # the matching's moves keep labels, so R keeps exactly the pairs whose upper face it keeps
+        assert mR.pairs == tuple(p for p in m.pairs if p[1] in R), mask
+        assert validate(mR, R, full_graph=True).ok
+        counts = {d: len(R.kept.get(d, ())) for d in range(-1, R.dim + 1)}
+        for g in mR.matched_ids:
+            counts[X.faces[g].dim] -= 1
+        assert critical_cells(mR, R) == counts
 
 
 def test_validate_rejects_double_use():
