@@ -8,6 +8,9 @@ of the simplicial faces sits a single interior cell of dimension n - 3
 whose boundary consists of all triangulations, turning the simplicial
 sphere into a ball.
 
+A dissection has one form, its diagonal bitmask (bit j for
+``all_diagonals(n)[j]``).  A face list stores its dissections and labels
+as two columns of ints and makes a ``Face`` only when one is read.
 A face is its position: its id is its index in the face list that holds
 it, and every id the module hands out (``kept``, the facet table, the
 label index, ``face_id``) is such an index.  A restriction and the
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import comb
 
-from .polygon import Diagonal, all_diagonals, iter_noncrossing, support, vertices
+from .polygon import Diagonal, all_diagonals, dissection, iter_noncrossing, support, vertices
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +37,8 @@ class Face:
     ``diagonals`` is the dissection for simplicial faces (the empty
     tuple for the empty face) and None for the interior cell.  ``label``
     is a vertex bitmask, bit v - 1 for vertex v, and (1 << n) - 1 on the
-    interior cell; ``to_json`` lists its vertices.
+    interior cell; ``to_json`` lists its vertices.  A face list stores no
+    ``Face``: it makes one each time ``faces[g]`` is read.
     """
 
     dim: int
@@ -58,30 +62,69 @@ class Face:
         }
 
 
-def _dimension_blocks(n: int, faces: list[Face]) -> dict[int, range]:
+def _face(n: int, diagonals: list[Diagonal], mask: int | None, label: int) -> Face:
+    """The ``Face`` of a dissection bitmask over ``diagonals``, None for the interior cell."""
+    if mask is None:
+        return Face(n - 3, None, label)
+    ds = dissection(mask, diagonals)
+    return Face(len(ds) - 1, ds, label)
+
+
+class _Faces(Sequence):
+    """A face list's faces, each made as a ``Face`` when read: ``faces[g]`` is face g.
+
+    Holds the face list's columns, not the complex, so a read ``Face``
+    keeps nothing of the complex alive.
+    """
+
+    __slots__ = ("n", "diagonals", "dissections", "labels")
+
+    def __init__(self, n: int, diagonals: list[Diagonal], dissections, labels) -> None:
+        self.n, self.diagonals, self.dissections, self.labels = n, diagonals, dissections, labels
+
+    def __len__(self) -> int:
+        return len(self.dissections)
+
+    def __getitem__(self, g):
+        if isinstance(g, slice):
+            return [self[i] for i in range(*g.indices(len(self)))]
+        return _face(self.n, self.diagonals, self.dissections[g], self.labels[g])
+
+
+def _dimension_blocks(
+    n: int, diagonals: list[Diagonal], dissections: Sequence[int | None]
+) -> dict[int, range]:
     """The ids of each dimension of a face list in canonical order, as ranges.
 
-    Raises ValueError at the first face out of the shape ``LabeledComplex`` needs.
+    Raises ValueError at the first dissection out of the shape ``LabeledComplex`` needs.
     """
     starts: dict[int, int] = {}
-    prev = None
-    for i, f in enumerate(faces):
-        if prev is not None and f.dim < prev.dim:
-            problem = f"of dimension {f.dim} follows one of dimension {prev.dim}"
-        elif f.is_interior and (f.dim != n - 3 or i != len(faces) - 1):
-            problem = f"of dimension {f.dim} is not last at dimension {n - 3}"
-        elif not f.is_interior and f.dim != len(f.diagonals) - 1:
-            problem = f"has {len(f.diagonals)} diagonals at dimension {f.dim}"
-        elif not f.is_interior and f.dim >= n - 3:
-            problem = f"has dimension {f.dim}, which only the interior cell reaches"
-        elif prev is not None and f.dim == prev.dim and f.diagonals <= prev.diagonals:
-            problem = f"does not follow {prev} lexicographically"
+    every = 1 << len(diagonals)
+    prev, prev_dim = 0, -2
+    for i, mask in enumerate(dissections):
+        if mask is None:
+            dim = n - 3
+        elif 0 <= mask < every:
+            dim = mask.bit_count() - 1
         else:
-            starts.setdefault(f.dim, i)
-            prev = f
+            raise ValueError(f"dissection {mask!r} is not a set of the {n}-gon's diagonals")
+        if dim < prev_dim:
+            problem = f"of dimension {dim} follows one of dimension {prev_dim}"
+        elif mask is None and i != len(dissections) - 1:
+            problem = f"of dimension {dim} is not last at dimension {n - 3}"
+        elif mask is not None and dim >= n - 3:
+            problem = f"has dimension {dim}, which only the interior cell reaches"
+        elif dim == prev_dim and not (diff := mask ^ prev) & -diff & prev:
+            # the first diagonal in which two equal-sized dissections differ is
+            # their lowest differing bit: it must be the earlier one's
+            problem = f"does not follow {_face(n, diagonals, prev, 0)} lexicographically"
+        else:
+            starts.setdefault(dim, i)
+            prev, prev_dim = mask, dim
             continue
-        raise ValueError(f"face {f} {problem}: faces must be in canonical order")
-    bounds = [*starts.values(), len(faces)]
+        face = _face(n, diagonals, mask, 0)
+        raise ValueError(f"face {face} {problem}: faces must be in canonical order")
+    bounds = [*starts.values(), len(dissections)]
     return {d: range(a, b) for d, a, b in zip(starts, bounds, bounds[1:])}
 
 
@@ -89,24 +132,30 @@ class LabeledComplex:
     """A face list, or a view of one, immutable after construction.
 
     A face is its position in the face list that holds it: that is its
-    id, and it is the same in every complex that holds the face.  Faces
-    are stored in canonical order (by dimension, then lexicographically
-    by dissection; the interior cell last); the constructor raises
-    ValueError at the first face out of that order, or whose dimension
-    is not its number of diagonals minus one.  It derives the cover
-    relation once, as the facet table ``covers_below()``: row i lists the
-    ids of the faces that face i covers.  A simplicial face covers its
-    dissection minus one diagonal, and the interior cell covers every
-    triangulation.  A missing subface raises ValueError, so every
-    complex built from a face list is closed under subfaces.
+    id, and it is the same in every complex that holds the face.  A face
+    list stores two columns, indexed by id: ``dissections``, each face's
+    diagonal bitmask (bit j for ``all_diagonals(n)[j]``; None for the
+    interior cell), and ``labels``, each face's vertex bitmask.  Faces
+    are in canonical order (by dimension, then lexicographically by
+    dissection; the interior cell last); the constructor takes the
+    dissections column and raises ValueError at the first entry out of
+    that order.  It derives the rest once: the facet table
+    ``covers_below()``, whose row i lists the ids of the faces that face i
+    covers (a simplicial face covers its dissection minus one diagonal,
+    the interior cell every triangulation), and the labels, a face's
+    label being its facet's without the last diagonal plus that
+    diagonal's endpoints, and (1 << n) - 1 on the interior cell.  A
+    missing subface raises ValueError, so every complex built from a
+    face list is closed under subfaces.  ``faces[g]`` makes face g's
+    ``Face`` when read.
 
     ``kept`` holds, per dimension, the ids of the complex's faces, and
     every reader of them iterates ``ids()``.  A face list's ``kept`` is
     its dimension blocks, stored once as id ranges.  A view (see
     ``restrict`` and ``boundary_complex``) records the face list as its
-    ``parent``, shares its ``faces``, facet table and lookup, and owns
-    only its ``kept`` ids, which are closed under subfaces.  So a view's
-    ``faces`` may hold faces it does not keep; ``fid in X`` tells.
+    ``parent``, shares its columns, ``faces``, facet table and lookup, and
+    owns only its ``kept`` ids, which are closed under subfaces.  So a
+    view's ``faces`` may hold faces it does not keep; ``fid in X`` tells.
     """
 
     parent: LabeledComplex | None = None
@@ -116,58 +165,57 @@ class LabeledComplex:
     # the verified integer chain complex, built by homology on first use
     _chains = None
 
-    def __init__(self, n: int, faces: list[Face]) -> None:
-        self.kept = _dimension_blocks(n, faces)
+    def __init__(self, n: int, dissections: list[int | None]) -> None:
+        diagonals = all_diagonals(n)
+        self.kept = _dimension_blocks(n, diagonals, dissections)
         self.n = n
-        self.faces = faces
-        self._by_diagonals: dict[tuple[Diagonal, ...], int] = {
-            f.diagonals: i for i, f in enumerate(faces) if f.diagonals is not None
-        }
+        self.dissections = dissections
+        self._index = index = dict(zip(dissections, range(len(dissections))))
+        self._bits = {d: j for j, d in enumerate(diagonals)}
+        ends = [support([d]) for d in diagonals]
+        # one int per vertex set, shared by every face with that label
+        vertex_sets = list(range(1 << n))
+        labels: list[int] = []
         below: list[list[int]] = []
-        for f in faces:
-            ds = f.diagonals
-            if ds is None:
+        for mask in dissections:
+            if mask is None:
                 below.append(list(self.kept.get(n - 4, ())))
+                labels.append(vertex_sets[-1])
                 continue
             row = []
-            for i in range(len(ds)):
-                sub = ds[:i] + ds[i + 1 :]
-                lo = self._by_diagonals.get(sub)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                lo = index.get(mask ^ low)
                 if lo is None:
-                    missing = ",".join(str(d) for d in sub)
-                    raise ValueError(f"face {f} lacks its subface {{{missing}}}")
+                    sub = _face(n, diagonals, mask ^ low, 0)
+                    raise ValueError(f"face {_face(n, diagonals, mask, 0)} lacks its subface {sub}")
                 row.append(lo)
+                rest ^= low
+            # low is the last diagonal, and row[-1] the facet without it
+            labels.append(vertex_sets[labels[row[-1]] | ends[low.bit_length() - 1]] if row else 0)
             below.append(row)
+        self.labels = labels
         self._below = below
+        self.faces = _Faces(n, diagonals, dissections, labels)
 
     def _view(self, kept: dict[int, Sequence[int]]) -> LabeledComplex:
         """The complex of the ids ``kept`` of this complex's face list, sharing it."""
         owner = self if self.parent is None else self.parent
         V = LabeledComplex.__new__(LabeledComplex)
         V.n, V.parent, V.kept = owner.n, owner, kept
-        V.faces, V._by_diagonals, V._below = owner.faces, owner._by_diagonals, owner._below
+        V.dissections, V.labels, V.faces = owner.dissections, owner.labels, owner.faces
+        V._index, V._bits, V._below = owner._index, owner._bits, owner._below
         return V
 
     def _label_index(self) -> dict[int, dict[int, list[int]]]:
-        """Ids by label, then dimension, built once.
-
-        First checks that every cover is label-monotone (``lo & ~hi == 0``),
-        which makes each set of faces with labels inside a mask closed under
-        subfaces; a cover that breaks it raises ValueError.
-        """
+        """Ids by label, then dimension, built once."""
         if self._labels is None:
-            faces = self.faces
-            for g, row in zip(faces, self._below):
-                for lo in row:
-                    f = faces[lo]
-                    if f.label & ~g.label:
-                        raise ValueError(
-                            f"cover {f} < {g} is not label-monotone: label "
-                            f"{vertices(f.label)} is not inside {vertices(g.label)}"
-                        )
+            labels = self.labels
             index: dict[int, dict[int, list[int]]] = defaultdict(dict)
-            for i, f in enumerate(faces):
-                index[f.label].setdefault(f.dim, []).append(i)
+            for d, ids in self.kept.items():
+                for g in ids:
+                    index[labels[g]].setdefault(d, []).append(g)
             self._labels = dict(index)
         return self._labels
 
@@ -177,7 +225,10 @@ class LabeledComplex:
 
     def __contains__(self, fid: int) -> bool:
         """Whether the complex keeps the face with id fid."""
-        ids = self.kept.get(self.faces[fid].dim, ()) if 0 <= fid < len(self.faces) else ()
+        if not 0 <= fid < len(self.dissections):
+            return False
+        mask = self.dissections[fid]
+        ids = self.kept.get(self.n - 3 if mask is None else mask.bit_count() - 1, ())
         if isinstance(ids, range):  # a face list's block: bisecting a range is slow
             return fid in ids
         i = bisect_left(ids, fid)  # a restriction keeps sorted lists
@@ -200,8 +251,18 @@ class LabeledComplex:
         return all(d < 0 for d in self.kept)
 
     def face_id(self, diagonals: Iterable[tuple[int, int]]) -> int | None:
-        """The id of the kept face with these diagonals, in order, or None if there is none."""
-        fid = self._by_diagonals.get(tuple(Diagonal(a, b) for a, b in diagonals))
+        """The id of the kept face with these diagonals, in order, or None if there is none.
+
+        None also when a pair is not a diagonal, repeats or comes out of order.
+        """
+        mask, last = 0, -1
+        for pair in diagonals:
+            j = self._bits.get(tuple(pair), -1)
+            if j <= last:
+                return None
+            mask |= 1 << j
+            last = j
+        fid = self._index.get(mask)
         return fid if fid is not None and fid in self else None
 
     def faces_of_dim(self, dim: int) -> list[Face]:
@@ -210,7 +271,8 @@ class LabeledComplex:
 
     def diagonals(self) -> list[Diagonal]:
         """The diagonals of the vertices (0-faces), in canonical order."""
-        return [f.diagonals[0] for f in self.faces_of_dim(0)]
+        diagonals, dissections = self.faces.diagonals, self.dissections
+        return [diagonals[dissections[g].bit_length() - 1] for g in self.kept.get(0, ())]
 
     def facets(self) -> list[Face]:
         """Simplicial top faces: the triangulations, each with n - 3 diagonals."""
@@ -237,16 +299,14 @@ class LabeledComplex:
 
     def equal_label_covers(self) -> list[tuple[int, int]]:
         """The pairs of ``covers`` whose faces have equal labels, sorted from the facet table."""
-        faces, below = self.faces, self._below
-        return sorted(
-            (lo, hi) for hi in self.ids() for lo in below[hi] if faces[lo].label == faces[hi].label
-        )
+        labels, below = self.labels, self._below
+        return sorted((lo, hi) for hi in self.ids() for lo in below[hi] if labels[lo] == labels[hi])
 
     def maximal_faces(self) -> list[Face]:
         """Faces with no cover above them (the interior cell counts)."""
-        faces, below = self.faces, self._below
+        below, empty = self._below, self.kept.get(-1, ())
         lowers = {lo for hi in self.ids() for lo in below[hi]}
-        return [faces[g] for g in self.ids() if g not in lowers and faces[g].dim >= 0]
+        return [self.faces[g] for g in self.ids() if g not in lowers and g not in empty]
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 up; (f(n,0), ..., f(n,n-3), 1) for A_n."""
@@ -279,26 +339,25 @@ def f_formula(n: int, d: int) -> int:
 def build(n: int) -> LabeledComplex:
     """Construct the full complex for the n-gon.
 
-    Takes every dissection in the order ``iter_noncrossing`` yields it, which
-    is canonical (dimension, then lexicographic dissection), and appends the
-    interior cell of dimension n - 3 labeled by all of 1..n.
+    Takes every dissection bitmask in the order ``iter_noncrossing`` yields
+    it, which is canonical (dimension, then lexicographic dissection), and
+    appends None, the interior cell of dimension n - 3 labeled by all of 1..n.
     """
-    faces = [Face(len(ds) - 1, ds, support(ds)) for ds in iter_noncrossing(all_diagonals(n))]
-    faces.append(Face(n - 3, None, (1 << n) - 1))
-    return LabeledComplex(n, faces)
+    dissections: list[int | None] = list(iter_noncrossing(all_diagonals(n)))
+    dissections.append(None)
+    return LabeledComplex(n, dissections)
 
 
 def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
     """The view of X's faces whose label is contained in sigma.
 
     The first call on a face list, or on a view of it, builds the face
-    list's label index, after checking once that every cover there is
-    label-monotone: a face's subfaces then have labels inside its own, so
-    every label filter is closed under subfaces and no restriction repeats
-    the closure check.  The kept faces are the union of the label buckets
-    inside sigma, less those a view X does not keep; the result is a view
-    of the face list, keeping its ids.  The interior cell survives only
-    when sigma is all of 1..n.
+    list's label index.  A label is the vertex support of its dissection,
+    so a face's subfaces have labels inside its own: every label filter is
+    closed under subfaces and no restriction checks closure.  The kept
+    faces are the union of the label buckets inside sigma, less those a
+    view X does not keep; the result is a view of the face list, keeping
+    its ids.  The interior cell survives only when sigma is all of 1..n.
     """
     sig = set(sigma)
     mask = sum(1 << (v - 1) for v in range(1, X.n + 1) if v in sig)

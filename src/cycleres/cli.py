@@ -11,13 +11,14 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Callable
 
 from .associahedron import Face, build, f_formula
 from .betti import MethodDisagreement, betti_closed_form, betti_table
 from .homology import Field
 from .morse import count_formulas, critical_cells, d2_matching, greedy_extend, validate
-from .polygon import count_by_support, count_trees, vertices
+from .polygon import is_tree, iter_dissections, support, vertices
 from .resolution import DEFAULT_MAX_N, minimality_witnesses, verify_supports_resolution
 from .tableaux import (
     associahedron_shape,
@@ -87,22 +88,17 @@ def _cmd_tables(args) -> Result:
     return True, lambda: rows, lines[1:]
 
 
-def _witnesses(n: int) -> tuple[list[tuple[Face, Face]], Callable[[], dict]]:
-    """The equal-label cover pairs of A_n and a thunk for their JSON fields."""
-    witnesses = minimality_witnesses(build(n))
-
-    def to_json() -> dict:
-        pairs = [
-            {
-                "lower": [[a, b] for a, b in f.diagonals],
-                "upper": [[a, b] for a, b in g.diagonals],
-                "label": vertices(f.label),
-            }
-            for f, g in witnesses
-        ]
-        return {"minimal": not witnesses, "witnesses": pairs}
-
-    return witnesses, to_json
+def _witnesses_json(witnesses: list[tuple[Face, Face]]) -> dict:
+    """The JSON fields of the equal-label cover pairs."""
+    pairs = [
+        {
+            "lower": [[a, b] for a, b in f.diagonals],
+            "upper": [[a, b] for a, b in g.diagonals],
+            "label": vertices(f.label),
+        }
+        for f, g in witnesses
+    ]
+    return {"minimal": not witnesses, "witnesses": pairs}
 
 
 def _print_progress(done: int, total: int) -> None:
@@ -117,7 +113,8 @@ def _cmd_verify_resolution(args) -> Result:
     report = verify_supports_resolution(
         args.n, field, max_n=args.max_n, workers=args.threads, progress=progress
     )
-    witnesses, witnesses_json = _witnesses(args.n)
+    X = build(args.n)
+    witnesses = len(X.equal_label_covers())
     acyclic = report.checked - report.empty_restrictions - len(report.failures)
     failures = "; ".join(str(vertices(s)) for s in report.failures)
     mismatches = "; ".join(str(vertices(s)) for s in report.cone_mismatches)
@@ -127,19 +124,19 @@ def _cmd_verify_resolution(args) -> Result:
         f" ({report.empty_restrictions} empty, {acyclic} acyclic)",
         "failures: " + (failures or "none"),
         "cone mismatches: " + mismatches if mismatches else "cone agreement: ok",
-        "minimal: " + (f"no ({len(witnesses)} witnesses)" if witnesses else "yes"),
+        "minimal: " + (f"no ({witnesses} witnesses)" if witnesses else "yes"),
     ]
-    return report.ok, lambda: report.to_json() | witnesses_json(), lines
+    return report.ok, lambda: report.to_json() | _witnesses_json(minimality_witnesses(X)), lines
 
 
 def _cmd_minimality(args) -> Result:
-    witnesses, witnesses_json = _witnesses(args.n)
+    witnesses = minimality_witnesses(build(args.n))
     lines = [f"n={args.n}: minimal: {'no' if witnesses else 'yes'}"
              f" ({len(witnesses)} equal-label cover pairs)"]
     for f, g in witnesses:
         label = ",".join(map(str, vertices(f.label)))
         lines.append(f"{f} < {g}  label {{{label}}}")
-    return True, lambda: {"n": args.n} | witnesses_json(), lines
+    return True, lambda: {"n": args.n} | _witnesses_json(witnesses), lines
 
 
 def _matching(X, matching, head: str, valid: str, critical: str):
@@ -283,18 +280,23 @@ def _cmd_involution(args) -> Result:
 
 def _cmd_dissections(args) -> Result:
     count = f_formula(args.n, args.d)
+    by_support: Counter[int] = Counter()
+    trees = 0
+    if args.by_support or args.trees:  # one walk of the slice for both
+        for ds in iter_dissections(args.n, args.d):
+            by_support[support(ds).bit_count()] += 1
+            if args.trees and ds and is_tree(ds):
+                trees += 1
     ok = True
     lines = [f"dissections({args.n},{args.d}): {count}"]
     payload: dict = {"n": args.n, "d": args.d, "count": count}
     if args.by_support:
-        by_support = count_by_support(args.n, args.d)
         ok = sum(by_support.values()) == count
         lines.append(_row(f"{s}:{c}" for s, c in sorted(by_support.items())))
         if not ok:
             lines.append("MISMATCH: support counts do not sum to the total")
         payload["by_support"] = {str(s): c for s, c in sorted(by_support.items())}
     if args.trees:
-        trees = count_trees(args.n, args.d)
         lines.append(f"trees: {trees}")
         payload["trees"] = trees
     return ok, lambda: payload, lines

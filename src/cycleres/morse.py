@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import comb
 from typing import Callable, Iterable
 
@@ -69,19 +70,20 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
     Empty below n = 6, where neither face type exists.
     """
     pairs = []
-    for fid in X.ids():
-        face = X.faces[fid]
-        if face.is_interior:
+    dissections, labels = X.dissections, X.labels
+    for fid in chain(X.kept.get(1, ()), X.kept.get(2, ())):
+        mask, label = dissections[fid], labels[fid]
+        if mask is None:
             continue
-        if face.dim == 1 and face.label.bit_count() == 4:
-            d1, d2 = face.diagonals
+        if mask.bit_count() == 2 and label.bit_count() == 4:
+            d1, d2 = X.faces[fid].diagonals
             pair = (fid, X.face_id(sorted((d1, d2, _superproper_partner(d1, d2)))))
-        elif face.dim == 2 and face.label.bit_count() == 3:
-            pair = (X.face_id(sorted(_triangle_partner(face.label))), fid)
+        elif mask.bit_count() == 3 and label.bit_count() == 3:
+            pair = (X.face_id(sorted(_triangle_partner(label))), fid)
         else:
             continue
         if None in pair:
-            raise RuntimeError(f"partner of {face} is not a face")
+            raise RuntimeError(f"partner of {X.faces[fid]} is not a face")
         pairs.append(pair)
     return MorseMatching(tuple(pairs))
 
@@ -137,17 +139,16 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     label and acyclicity checks see only the pairs that are covers.
     """
     problems = []
-    faces, below = X.faces, X.covers_below()
+    labels, below = X.labels, X.covers_below()
     covers = []
     for lo, hi in m.pairs:
         if not (hi in X and lo in below[hi]):
             problems.append(f"pair ({lo},{hi}) is not a cover relation")
             continue
         covers.append((lo, hi))
-        if faces[lo].label != faces[hi].label:
+        if labels[lo] != labels[hi]:
             problems.append(
-                f"pair ({lo},{hi}) joins labels {vertices(faces[lo].label)}"
-                f" != {vertices(faces[hi].label)}"
+                f"pair ({lo},{hi}) joins labels {vertices(labels[lo])} != {vertices(labels[hi])}"
             )
     use = Counter(fid for pair in m.pairs for fid in pair)
     for fid, k in sorted(use.items()):

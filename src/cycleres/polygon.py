@@ -4,8 +4,10 @@ Vertices are labeled 1..n around the polygon.  A diagonal is a chord
 between two non-adjacent vertices; a dissection is a set of pairwise
 non-crossing diagonals.  Everything here is pure combinatorics on
 integer pairs: crossing is decided by cyclic interleaving, never by
-coordinates.  A vertex set is an int bitmask, bit v - 1 for vertex v.
-All values are immutable and all functions are pure.
+coordinates.  A vertex set is an int bitmask, bit v - 1 for vertex v,
+and a dissection enumerated from a list of diagonals is an int bitmask
+too, bit j for the j-th diagonal; ``dissection`` decodes it.  All values
+are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -125,16 +127,28 @@ def is_tree(diagonals: Iterable[Pair]) -> bool:
     return reached == verts
 
 
-def iter_noncrossing(diagonals: Sequence[Diagonal]) -> Iterator[tuple[Diagonal, ...]]:
+def dissection(mask: int, diagonals: Sequence[Diagonal]) -> tuple[Diagonal, ...]:
+    """The diagonals at the set bits of ``mask``, in order: bit j stands for ``diagonals[j]``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(diagonals[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def iter_noncrossing(diagonals: Sequence[Diagonal]) -> Iterator[int]:
     """Yield every non-crossing subset of ``diagonals``, by size, then lexicographically.
 
-    Each subset is a tuple in the given order, the empty tuple first.  Bit j
-    of ``later[i]`` is set when diagonal j comes after diagonal i and does
-    not cross it.  A subset carries ``free``, the AND of its diagonals'
-    ``later`` masks, so the diagonals that extend it are the set bits of
-    ``free``; extending each subset of one size by them in ascending order
-    lists the next size lexicographically.  For ``all_diagonals(n)`` this is
-    the canonical face order of A_n.  A subset is yielded as it is made, so
+    A subset is a bitmask, bit j for ``diagonals[j]``, the empty subset 0
+    first; ``dissection`` turns it back into its diagonals.  Subsets of one
+    size come in the lexicographic order of those tuples.  Bit j of
+    ``later[i]`` is set when diagonal j comes after diagonal i and does not
+    cross it.  A subset carries ``free``, the AND of its diagonals' ``later``
+    masks, so the diagonals that extend it are the set bits of ``free``;
+    extending each subset of one size by them in ascending order lists the
+    next size lexicographically.  For ``all_diagonals(n)`` this is the
+    canonical face order of A_n.  A subset is yielded as it is made, so
     stopping at the first subset of a size leaves the rest of it unbuilt.
     """
     m = len(diagonals)
@@ -142,17 +156,16 @@ def iter_noncrossing(diagonals: Sequence[Diagonal]) -> Iterator[tuple[Diagonal, 
         sum(1 << j for j in range(i + 1, m) if not crosses(diagonals[i], diagonals[j]))
         for i in range(m)
     ]
-    yield ()
-    level = [((), (1 << m) - 1)]
+    yield 0
+    level = [(0, (1 << m) - 1)]
     while level:
         bigger = []
-        for ds, free in level:
+        for mask, free in level:
             while free:
                 low = free & -free
-                j = low.bit_length() - 1
-                extended = ds + (diagonals[j],)
+                extended = mask | low
                 yield extended
-                bigger.append((extended, free & later[j]))
+                bigger.append((extended, free & later[low.bit_length() - 1]))
                 free ^= low
         level = bigger
 
@@ -161,8 +174,10 @@ def iter_dissections(n: int, d: int) -> Iterator[tuple[Diagonal, ...]]:
     """All dissections of the n-gon with exactly d diagonals, lexicographically."""
     if not 0 <= d <= n - 3:
         raise ValueError(f"need 0 <= d <= n - 3, got d={d} for n={n}")
-    shorter_skipped = dropwhile(lambda ds: len(ds) < d, iter_noncrossing(all_diagonals(n)))
-    return takewhile(lambda ds: len(ds) == d, shorter_skipped)
+    diagonals = all_diagonals(n)
+    shorter_skipped = dropwhile(lambda m: m.bit_count() < d, iter_noncrossing(diagonals))
+    size_d = takewhile(lambda m: m.bit_count() == d, shorter_skipped)
+    return (dissection(m, diagonals) for m in size_d)
 
 
 def count_by_support(n: int, d: int) -> dict[int, int]:

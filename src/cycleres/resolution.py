@@ -7,8 +7,9 @@ non-empty proper restriction has an apex diagonal lying in all of its maximal
 faces, which explains the vanishing independently of the rank computation.
 
 Each restriction is a view of one A_n, keeping its ids: it is closed under
-subfaces because A_n's covers are label-monotone (checked by the first
-``restrict``) and has dd = 0 because A_n's chain complex does (checked once).
+subfaces because A_n's labels are the supports of their dissections, so
+its covers are label-monotone, and has dd = 0 because A_n's chain complex
+does (checked once).
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from typing import Callable, Iterable
 
 from .associahedron import Face, LabeledComplex, build, restrict
 from .homology import Field, is_acyclic
-from .polygon import Diagonal, all_diagonals, crosses, diagonal, iter_noncrossing, vertices
+from .polygon import (
+    Diagonal,
+    all_diagonals,
+    crosses,
+    diagonal,
+    dissection,
+    iter_noncrossing,
+    vertices,
+)
 
 # 2^n restrictions each need a homology computation; larger n on request only.
 DEFAULT_MAX_N = 8
@@ -76,7 +85,7 @@ def cone_witness(n: int, sigma: Iterable[int]) -> Diagonal | None:
     if apex not in candidates:
         raise RuntimeError(f"apex {apex} is not supported inside {sorted(s)}")
     for chosen in iter_noncrossing(candidates):
-        face = frozenset(chosen)
+        face = frozenset(dissection(chosen, candidates))
         if _is_maximal(face, candidates) and apex not in face:
             raise RuntimeError(f"apex {apex} missing from maximal face {sorted(face)}")
     return apex

@@ -89,12 +89,6 @@ class Tableau:
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
-    def render(self) -> str:
-        width = len(str(self.size))
-        return "\n".join(
-            " ".join(str(v).rjust(width) for v in row) for row in self.rows
-        )
-
     def __str__(self) -> str:
         return "/".join("".join(str(v) for v in row) for row in self.rows)
 

@@ -1,4 +1,7 @@
+import gc
 import re
+import weakref
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +13,8 @@ from cycleres.associahedron import (
     f_formula,
     restrict,
 )
-from cycleres.homology import chain_complex
-from cycleres.polygon import Diagonal, support, vertices
+from cycleres.homology import Field, chain_complex, is_acyclic
+from cycleres.polygon import Diagonal, all_diagonals, crosses, support, vertices
 
 
 def test_f_formula_values():
@@ -144,37 +147,90 @@ def test_restrict_derives_covers_interior_and_f_vector(n):
 
 
 def test_unclosed_face_list_rejected():
-    faces = [f for f in build(5).faces if f.diagonals != (Diagonal(1, 3),)]
+    X = build(5)
+    g = X.face_id([(1, 3)])
+    faces = X.dissections[:g] + X.dissections[g + 1 :]
     with pytest.raises(ValueError, match=r"lacks its subface \{1-3\}"):
         LabeledComplex(5, faces)
 
 
 def test_face_list_out_of_canonical_order_rejected():
-    faces = build(5).faces
-    vertex, edge, interior = faces[1], faces[6], faces[-1]
-    assert (vertex.dim, edge.dim, interior.dim) == (0, 1, 2)
+    X = build(5)
+    faces = X.dissections
+    vertex, interior = faces[1], faces[-1]
+    assert [X.faces[g].dim for g in (1, 6, -1)] == [0, 1, 2]
     vertex_late = [faces[0], *faces[2:7], vertex, *faces[7:]]
     interior_early = [*faces[:-2], interior, faces[-2]]
-    interior_low = [*faces[:-1], Face(1, None, interior.label)]
-    last = faces[-2]
-    misdimensioned = [*faces[:-2], Face(2, last.diagonals, last.label), interior]
-    three = (Diagonal(1, 3), Diagonal(1, 4), Diagonal(2, 4))
-    simplicial_top = [*faces[:-1], Face(2, three, 0b11111)]
+    three = 0b111  # {1-3,1-4,2-4}: bit j is all_diagonals(5)[j]
+    simplicial_top = [*faces[:-1], three]
     duplicated = [*faces[:2], vertex, *faces[2:]]
     swapped = [faces[0], faces[2], vertex, *faces[3:]]
     cases = [
         (vertex_late, "face {1-3} of dimension 0 follows one of dimension 1"),
         (interior_early, "face <interior> of dimension 2 is not last at dimension 2"),
-        (interior_low, "face <interior> of dimension 1 is not last at dimension 2"),
-        (misdimensioned, "face {2-5,3-5} has 2 diagonals at dimension 2"),
         (simplicial_top, "face {1-3,1-4,2-4} has dimension 2, which only the interior"),
         (duplicated, "face {1-3} does not follow {1-3} lexicographically"),
         (swapped, "face {1-3} does not follow {1-4} lexicographically"),
+        ([*faces[:-1], 1 << 5, interior], "dissection 32 is not a set of the 5-gon's diagonals"),
+        ([*faces[:-1], -1, interior], "dissection -1 is not a set of the 5-gon's diagonals"),
     ]
     for bad, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             LabeledComplex(5, bad)
     assert LabeledComplex(5, list(faces)).covers == build(5).covers
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_faces_read_as_the_tuple_oracle(n):
+    # every non-crossing tuple of diagonals, by size and then in
+    # combinations' lexicographic order, labeled by its support
+    diagonals = all_diagonals(n)
+    oracle = [
+        Face(k - 1, ds, support(ds))
+        for k in range(n - 2)
+        for ds in combinations(diagonals, k)
+        if not any(crosses(d, e) for d, e in combinations(ds, 2))
+    ]
+    oracle.append(Face(n - 3, None, (1 << n) - 1))
+    X = build(n)
+    assert len(X.faces) == len(oracle)
+    for g, face in enumerate(oracle):
+        assert X.faces[g] == face, g
+        assert X.labels[g] == face.label
+        if not face.is_interior:
+            assert X.face_id(face.diagonals) == g
+    assert X.faces[-1] == oracle[-1] and X.faces[1:3] == oracle[1:3]
+
+
+def test_face_id_rejects_what_is_not_a_dissection_in_order():
+    X = build(6)
+    assert X.face_id([(1, 3), (1, 4)]) == X.face_id([Diagonal(1, 3), Diagonal(1, 4)]) is not None
+    assert X.face_id([]) == 0
+    for pairs in (
+        [(1, 3), (1, 3)],  # repeated: OR-ing its bits would give {1-3}
+        [(1, 3), (1, 3), (1, 4)],
+        [(1, 2)],  # a side of the hexagon
+        [(1, 6)],
+        [(3, 1)],
+        [(1, 3), (2, 7)],
+        [(1, 4), (1, 3)],  # out of canonical order
+    ):
+        assert X.face_id(pairs) is None, pairs
+
+
+def test_a_complex_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        X = build(8)
+        assert is_acyclic(restrict(X, {1, 2, 3, 5, 6}), Field.RATIONAL)
+        faces, face = X.faces, X.faces[100]
+        ref = weakref.ref(X)
+        del X
+        # a read Face and the face sequence hold the columns, not the complex
+        assert ref() is None
+        assert faces[100] == face
+    finally:
+        gc.enable()
 
 
 def _complexes(n):
@@ -243,7 +299,7 @@ def test_restriction_ids_are_the_face_lists_ids():
     X = build(7)
     R = restrict(X, {1, 2, 3, 5, 6})
     g = R.kept[0][2]
-    assert R.faces[g] is X.faces[g]
+    assert R.faces is X.faces and R.faces[g] == X.faces[g]
     assert (g, str(R.faces[g])) == (4, "{1-6}")
     fid = R.face_id([(1, 3), (1, 5)])
     assert fid in R.kept[1] and X.face_id([(1, 3), (1, 5)]) == fid
@@ -279,19 +335,6 @@ def test_restrict_is_closed_under_subfaces():
                 assert ds[:i] + ds[i + 1 :] in present
 
 
-def test_restrict_rejects_a_non_monotone_cover():
-    X = build(6)
-    interior = X.faces[-1]
-    Y = LabeledComplex(6, X.faces[:-1] + [Face(interior.dim, None, (1 << 6) - 2)])
-    message = re.escape(
-        "cover {1-3,1-4,1-5} < <interior> is not label-monotone:"
-        " label [1, 3, 4, 5] is not inside [2, 3, 4, 5, 6]"
-    )
-    for sigma in ({2, 3, 4}, range(1, 7)):
-        with pytest.raises(ValueError, match=message):
-            restrict(Y, sigma)
-
-
 def test_restriction_derives_faces_when_read():
     X = build(7)
     assert not {"_labels", "_chains"} & set(vars(X))
@@ -302,7 +345,8 @@ def test_restriction_derives_faces_when_read():
     assert R.kept == {d: ids for d, ids in kept.items() if ids}
     # a view owns its kept ids and nothing its face list derives
     assert not {"_labels", "_chains", "covers"} & set(vars(R))
-    assert R.faces is X.faces and R._by_diagonals is X._by_diagonals
+    assert R.faces is X.faces and R._index is X._index
+    assert R.dissections is X.dissections and R.labels is X.labels
     f_vector = [len(ids) for ids in R.kept.values()]
     assert (len(R), R.f_vector(), R.dim) == (sum(f_vector), f_vector, len(f_vector) - 2)
     assert not R.is_empty and not R.has_interior

@@ -16,6 +16,7 @@ from cycleres.polygon import (
     count_trees,
     crosses,
     diagonal,
+    dissection,
     is_diagonal,
     is_tree,
     iter_dissections,
@@ -94,7 +95,8 @@ def test_support():
 def test_support_vertices_round_trip():
     assert vertices(0) == []
     for n in range(4, 9):
-        for ds in iter_noncrossing(all_diagonals(n)):
+        diags = all_diagonals(n)
+        for ds in (dissection(mask, diags) for mask in iter_noncrossing(diags)):
             oracle = set()
             for a, b in ds:
                 oracle |= {a, b}
@@ -136,7 +138,7 @@ def test_is_tree_matches_networkx():
 
 def test_iter_noncrossing_yields_empty_first():
     first = next(iter_noncrossing(all_diagonals(6)))
-    assert first == ()
+    assert first == 0 and dissection(first, all_diagonals(6)) == ()
 
 
 def _pairwise_noncrossing(ds):
@@ -152,13 +154,16 @@ def test_iter_noncrossing_matches_filtered_combinations(n):
         ds for k in range(n - 1) for ds in itertools.combinations(diags, k)
         if _pairwise_noncrossing(ds)
     ]
-    assert list(iter_noncrossing(diags)) == oracle
+    masks = list(iter_noncrossing(diags))
+    assert [dissection(mask, diags) for mask in masks] == oracle
+    assert masks == [sum(1 << diags.index(d) for d in ds) for ds in oracle]
     assert max(len(ds) for ds in oracle) == n - 3
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_iter_noncrossing_is_canonical_with_formula_counts(n):
-    faces = list(iter_noncrossing(all_diagonals(n)))
+    diags = all_diagonals(n)
+    faces = [dissection(mask, diags) for mask in iter_noncrossing(diags)]
     keys = [(len(ds), ds) for ds in faces]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     assert all(_pairwise_noncrossing(ds) for ds in faces)
@@ -168,7 +173,8 @@ def test_iter_noncrossing_is_canonical_with_formula_counts(n):
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_iter_dissections_is_the_size_d_slice(n):
-    faces = list(iter_noncrossing(all_diagonals(n)))
+    diags = all_diagonals(n)
+    faces = [dissection(mask, diags) for mask in iter_noncrossing(diags)]
     for d in range(n - 2):
         assert list(iter_dissections(n, d)) == [ds for ds in faces if len(ds) == d]
 
@@ -189,15 +195,25 @@ class _CountingSequence(Sequence):
 
 @pytest.mark.parametrize("n, d", [(6, 1), (8, 2), (9, 4)])
 def test_iter_dissections_does_not_build_the_next_size(monkeypatch, n, d):
-    # Past the crossing table's m(m - 1) reads, each subset made reads one
-    # diagonal; the slice needs the subsets of sizes 1..d and the first one
-    # of size d + 1, which ends it.
+    # The enumerator makes each subset as it yields it; the slice needs the
+    # subsets of sizes 0..d and the first one of size d + 1, which ends it.
+    # Past the crossing table's m(m - 1) reads, only the decoding of the
+    # slice reads diagonals, d per dissection.
     diagonals = _CountingSequence(all_diagonals(n))
     monkeypatch.setattr(polygon, "all_diagonals", lambda _: diagonals)
+    enumerate_all, made = polygon.iter_noncrossing, []
+
+    def counting(diags):
+        for mask in enumerate_all(diags):
+            made.append(mask)
+            yield mask
+
+    monkeypatch.setattr(polygon, "iter_noncrossing", counting)
     m = len(diagonals)
     assert sum(1 for _ in iter_dissections(n, d)) == f_formula(n, d)
     assert f_formula(n, d + 1) > 1
-    assert diagonals.reads <= m * (m - 1) + sum(f_formula(n, k) for k in range(1, d + 1)) + 1
+    assert len(made) == sum(f_formula(n, k) for k in range(d + 1)) + 1
+    assert diagonals.reads == m * (m - 1) + d * f_formula(n, d)
 
 
 def test_dissection_counts_small():

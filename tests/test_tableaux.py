@@ -203,8 +203,7 @@ def test_involution_fixed_points_are_the_betti_tableaux():
             assert restricted == enumerate_syt(syzygy_shape(n, d)), (n, d)
 
 
-def test_tableau_render_and_json():
+def test_tableau_json_and_str():
     t = Tableau(((1, 2), (3, 4), (5,)))
     assert t.to_json() == [[1, 2], [3, 4], [5]]
-    assert t.render() == "1 2\n3 4\n5"
     assert str(t) == "12/34/5"
