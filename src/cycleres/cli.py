@@ -11,14 +11,13 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from typing import Callable
 
 from .associahedron import Face, build, f_formula
 from .betti import MethodDisagreement, betti_closed_form, betti_table
 from .homology import Field
 from .morse import count_formulas, critical_cells, d2_matching, greedy_extend, validate
-from .polygon import is_tree, iter_dissections, support, vertices
+from .polygon import slice_counts, vertices
 from .resolution import DEFAULT_MAX_N, minimality_witnesses, verify_supports_resolution
 from .tableaux import (
     associahedron_shape,
@@ -280,22 +279,19 @@ def _cmd_involution(args) -> Result:
 
 def _cmd_dissections(args) -> Result:
     count = f_formula(args.n, args.d)
-    by_support: Counter[int] = Counter()
+    by_support: dict[int, int] = {}
     trees = 0
-    if args.by_support or args.trees:  # one walk of the slice for both
-        for ds in iter_dissections(args.n, args.d):
-            by_support[support(ds).bit_count()] += 1
-            if args.trees and ds and is_tree(ds):
-                trees += 1
+    if args.by_support or args.trees:
+        by_support, trees = slice_counts(args.n, args.d)
     ok = True
     lines = [f"dissections({args.n},{args.d}): {count}"]
     payload: dict = {"n": args.n, "d": args.d, "count": count}
     if args.by_support:
         ok = sum(by_support.values()) == count
-        lines.append(_row(f"{s}:{c}" for s, c in sorted(by_support.items())))
+        lines.append(_row(f"{s}:{c}" for s, c in by_support.items()))
         if not ok:
             lines.append("MISMATCH: support counts do not sum to the total")
-        payload["by_support"] = {str(s): c for s, c in sorted(by_support.items())}
+        payload["by_support"] = {str(s): c for s, c in by_support.items()}
     if args.trees:
         lines.append(f"trees: {trees}")
         payload["trees"] = trees

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import comb
 from typing import Callable, Iterable
 
@@ -64,6 +63,14 @@ def _triangle_partner(face_label: int) -> tuple[Diagonal, Diagonal]:
     return Diagonal(i, j), Diagonal(j, k)
 
 
+def _partner(X: LabeledComplex, fid: int, diagonals: Iterable[Diagonal]) -> int:
+    """The id of the face with these diagonals, the partner of face ``fid``."""
+    g = X.face_id(sorted(diagonals))
+    if g is None:
+        raise RuntimeError(f"partner of {X.faces[fid]} is not a face")
+    return g
+
+
 def d2_matching(X: LabeledComplex) -> MorseMatching:
     """The explicit low-dimensional matching: superproper pairs up, triangles down.
 
@@ -71,20 +78,13 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
     """
     pairs = []
     dissections, labels = X.dissections, X.labels
-    for fid in chain(X.kept.get(1, ()), X.kept.get(2, ())):
-        mask, label = dissections[fid], labels[fid]
-        if mask is None:
-            continue
-        if mask.bit_count() == 2 and label.bit_count() == 4:
+    for fid in X.kept.get(1, ()):  # the interior cell is here at n = 4, with 4 vertices
+        if dissections[fid] is not None and labels[fid].bit_count() == 4:
             d1, d2 = X.faces[fid].diagonals
-            pair = (fid, X.face_id(sorted((d1, d2, _superproper_partner(d1, d2)))))
-        elif mask.bit_count() == 3 and label.bit_count() == 3:
-            pair = (X.face_id(sorted(_triangle_partner(label))), fid)
-        else:
-            continue
-        if None in pair:
-            raise RuntimeError(f"partner of {X.faces[fid]} is not a face")
-        pairs.append(pair)
+            pairs.append((fid, _partner(X, fid, (d1, d2, _superproper_partner(d1, d2)))))
+    for fid in X.kept.get(2, ()):  # the interior cell is here at n = 5, with 5 vertices
+        if labels[fid].bit_count() == 3:
+            pairs.append((_partner(X, fid, _triangle_partner(labels[fid])), fid))
     return MorseMatching(tuple(pairs))
 
 

@@ -113,7 +113,11 @@ def is_tree(diagonals: Iterable[Pair]) -> bool:
     ds = tuple(diagonals)
     if not ds:
         raise ValueError("is_tree is undefined for the empty dissection")
-    verts = support(ds)
+    return _spans_tree(ds, support(ds))
+
+
+def _spans_tree(ds: tuple[Pair, ...], verts: int) -> bool:
+    """``is_tree`` for nonempty diagonals ``ds`` whose support is ``verts``."""
     if len(ds) != verts.bit_count() - 1:
         return False
     # Grow the vertices reached from the first diagonal: while they can
@@ -180,12 +184,29 @@ def iter_dissections(n: int, d: int) -> Iterator[tuple[Diagonal, ...]]:
     return (dissection(m, diagonals) for m in size_d)
 
 
+def slice_counts(n: int, d: int) -> tuple[dict[int, int], int]:
+    """The d-diagonal dissections by support size, and how many are trees, in one walk.
+
+    The empty dissection has no vertices and is not counted as a tree.
+    """
+    by_support: Counter[int] = Counter()
+    trees = 0
+    for ds in iter_dissections(n, d):
+        verts = support(ds)
+        by_support[verts.bit_count()] += 1
+        if ds and _spans_tree(ds, verts):
+            trees += 1
+    return dict(sorted(by_support.items())), trees
+
+
 def count_by_support(n: int, d: int) -> dict[int, int]:
     """Counts of d-diagonal dissections bucketed by support size."""
-    counts: Counter[int] = Counter()
-    for ds in iter_dissections(n, d):
-        counts[support(ds).bit_count()] += 1
-    return dict(sorted(counts.items()))
+    return slice_counts(n, d)[0]
+
+
+def count_trees(n: int, d: int) -> int:
+    """Number of d-diagonal dissections whose diagonals form a tree."""
+    return slice_counts(n, d)[1]
 
 
 def count_by_class(n: int, d: int) -> dict[SupportClass, int]:
@@ -194,11 +215,3 @@ def count_by_class(n: int, d: int) -> dict[SupportClass, int]:
     for ds in iter_dissections(n, d):
         out[classify(ds)] += 1
     return out
-
-
-def count_trees(n: int, d: int) -> int:
-    """Number of d-diagonal dissections whose diagonals form a tree.
-
-    The empty dissection has no vertices and is not counted as a tree.
-    """
-    return sum(1 for ds in iter_dissections(n, d) if ds and is_tree(ds))
