@@ -85,9 +85,7 @@ class _Faces(Sequence):
     def __len__(self) -> int:
         return len(self.dissections)
 
-    def __getitem__(self, g):
-        if isinstance(g, slice):
-            return [self[i] for i in range(*g.indices(len(self)))]
+    def __getitem__(self, g: int) -> Face:
         return _face(self.n, self.diagonals, self.dissections[g], self.labels[g])
 
 
@@ -274,10 +272,6 @@ class LabeledComplex:
         diagonals, dissections = self.faces.diagonals, self.dissections
         return [diagonals[dissections[g].bit_length() - 1] for g in self.kept.get(0, ())]
 
-    def facets(self) -> list[Face]:
-        """Simplicial top faces: the triangulations, each with n - 3 diagonals."""
-        return self.faces_of_dim(self.n - 4)
-
     def covers_below(self) -> list[list[int]]:
         """The facet table of the face list, indexed by face id: the ids each face covers.
 
@@ -348,30 +342,30 @@ def build(n: int) -> LabeledComplex:
     return LabeledComplex(n, dissections)
 
 
-def restrict(X: LabeledComplex, sigma: Iterable[int]) -> LabeledComplex:
-    """The view of X's faces whose label is contained in sigma.
+def restrict(X: LabeledComplex, sigma: int) -> LabeledComplex:
+    """The view of X's faces whose label is contained in sigma, a vertex bitmask.
 
-    The first call on a face list, or on a view of it, builds the face
-    list's label index.  A label is the vertex support of its dissection,
-    so a face's subfaces have labels inside its own: every label filter is
-    closed under subfaces and no restriction checks closure.  The kept
-    faces are the union of the label buckets inside sigma, less those a
-    view X does not keep; the result is a view of the face list, keeping
-    its ids.  The interior cell survives only when sigma is all of 1..n.
+    sigma is an int with bit v - 1 set for each vertex v it holds, like
+    every label; ValueError unless 0 <= sigma < 1 << n.  The first call on
+    a face list, or on a view of it, builds the face list's label index.
+    A label is the vertex support of its dissection, so a face's subfaces
+    have labels inside its own: every label filter is closed under
+    subfaces and no restriction checks closure.  The kept faces are the
+    union of the label buckets inside sigma, less those a view X does not
+    keep; the result is a view of the face list, keeping its ids.  The
+    interior cell survives only when sigma is (1 << n) - 1, all of 1..n.
     """
-    sig = set(sigma)
-    mask = sum(1 << (v - 1) for v in range(1, X.n + 1) if v in sig)
-    if mask.bit_count() != len(sig):
-        raise ValueError(f"sigma {sorted(sig)} is not a subset of 1..{X.n}")
+    if not 0 <= sigma < 1 << X.n:
+        raise ValueError(f"sigma {sigma:#b} is not a subset of 1..{X.n}")
     index = (X if X.parent is None else X.parent)._label_index()
     found: dict[int, list[int]] = defaultdict(list)
-    sub = mask
-    while True:  # every label inside mask: its submasks, mask first and 0 last
+    sub = sigma
+    while True:  # every label inside sigma: its submasks, sigma first and 0 last
         for d, bucket in index.get(sub, {}).items():
             found[d] += bucket
         if not sub:
             break
-        sub = (sub - 1) & mask
+        sub = (sub - 1) & sigma
     kept = {d: sorted(found[d]) for d in sorted(found)}
     if X.parent is not None:
         kept = {d: [g for g in ids if g in X] for d, ids in kept.items()}

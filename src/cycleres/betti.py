@@ -15,7 +15,7 @@ from functools import cache
 from math import comb
 
 from .homology import Field, simplicial_reduced_betti
-from .polygon import vertices
+from .polygon import rotate, vertices
 
 METHODS = ("hochster", "closed", "recursion")
 
@@ -68,9 +68,7 @@ class BettiTable:
 
 def _cyclic_runs(mask: int, n: int) -> int:
     """Number of cyclic blocks of consecutive set bits (vertices of the n-gon)."""
-    full = (1 << n) - 1
-    predecessor = ((mask << 1) | (mask >> (n - 1))) & full
-    return (mask & ~predecessor).bit_count()
+    return (mask & ~rotate(mask, n, 1)).bit_count()
 
 
 def hochster_betti(n: int) -> BettiTable:

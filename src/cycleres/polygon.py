@@ -95,6 +95,12 @@ def vertices(mask: int) -> list[int]:
     return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
 
 
+def rotate(mask: int, n: int, k: int) -> int:
+    """The vertex bitmask turned by k around the n-gon: vertex v goes to (v - 1 + k) % n + 1."""
+    k %= n
+    return (mask << k | mask >> (n - k)) & ((1 << n) - 1)
+
+
 def classify(diagonals: Iterable[Pair]) -> SupportClass:
     """Support classification of a nonempty dissection."""
     ds = tuple(diagonals)
@@ -197,16 +203,6 @@ def slice_counts(n: int, d: int) -> tuple[dict[int, int], int]:
         if ds and _spans_tree(ds, verts):
             trees += 1
     return dict(sorted(by_support.items())), trees
-
-
-def count_by_support(n: int, d: int) -> dict[int, int]:
-    """Counts of d-diagonal dissections bucketed by support size."""
-    return slice_counts(n, d)[0]
-
-
-def count_trees(n: int, d: int) -> int:
-    """Number of d-diagonal dissections whose diagonals form a tree."""
-    return slice_counts(n, d)[1]
 
 
 def count_by_class(n: int, d: int) -> dict[SupportClass, int]:

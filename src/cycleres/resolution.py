@@ -1,8 +1,9 @@
 """Verification that the labeled associahedron supports a cellular resolution.
 
 The complex does so exactly when its restriction to every vertex subset sigma
-is empty or acyclic over the coefficient field.  The sweep below checks all
-2^n subsets with exact homology and cross-checks the cone shortcut: every
+is empty or acyclic over the coefficient field.  sigma is a vertex bitmask,
+bit v - 1 for vertex v, like every label.  The sweep below checks all 2^n
+subsets with exact homology and cross-checks the cone shortcut: every
 non-empty proper restriction has an apex diagonal lying in all of its maximal
 faces, which explains the vanishing independently of the rank computation.
 
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 from .associahedron import Face, LabeledComplex, build, restrict
 from .homology import Field, is_acyclic
@@ -30,6 +31,8 @@ from .polygon import (
     diagonal,
     dissection,
     iter_noncrossing,
+    rotate,
+    support,
     vertices,
 )
 
@@ -39,27 +42,25 @@ DEFAULT_MAX_N = 8
 ProgressFn = Callable[[int, int], None]
 
 
-def cone_apex(n: int, sigma: Iterable[int]) -> Diagonal | None:
+def cone_apex(n: int, sigma: int) -> Diagonal | None:
     """Apex of the cone structure on the restriction to sigma, in original labels.
 
-    Returns None when no diagonal has both endpoints in sigma (restriction is
-    empty).  sigma must be a proper subset of {1..n} with at least two elements:
-    after rotating some element with a missing cyclic predecessor to position 1,
-    the diagonal from 1 to the largest rotated index crosses nothing inside
-    sigma, so it lies in every maximal face.
+    sigma is a vertex bitmask, bit v - 1 for vertex v, with at least two and
+    fewer than n vertices; ValueError otherwise.  Returns None when no
+    diagonal has both endpoints in sigma (the restriction is empty).  With t
+    the least vertex of sigma whose cyclic predecessor is missing, turn sigma
+    so that t is vertex 1: the diagonal from 1 to the largest turned vertex
+    crosses nothing inside sigma, so it lies in every maximal face.
     """
-    s = frozenset(sigma)
-    if not s or not all(isinstance(v, int) and 1 <= v <= n for v in s):
-        raise ValueError(f"sigma must be a nonempty subset of 1..{n}")
-    if len(s) < 2 or len(s) >= n:
-        raise ValueError(f"sigma must be proper with at least 2 elements, got {sorted(s)}")
-    t = min(v for v in s if (v - 2) % n + 1 not in s)
-    rotated = {(v - t) % n + 1 for v in s}
-    j = max((v for v in rotated if v > 2), default=0)
-    if not j:
+    if not 0 <= sigma < 1 << n or not 2 <= sigma.bit_count() < n:
+        raise ValueError(f"sigma {sigma:#b} must hold at least 2 and fewer than {n} vertices")
+    starts = sigma & ~rotate(sigma, n, 1)
+    t = (starts & -starts).bit_length()
+    j = rotate(sigma, n, 1 - t).bit_length()
+    if j <= 2:
         # sigma is two cyclically adjacent vertices; the chord is a polygon edge
         return None
-    return diagonal(t, (j - 1 + t - 1) % n + 1, n)
+    return diagonal(t, (j + t - 2) % n + 1, n)
 
 
 def _is_maximal(face: frozenset[Diagonal], candidates: list[Diagonal]) -> bool:
@@ -68,22 +69,22 @@ def _is_maximal(face: frozenset[Diagonal], candidates: list[Diagonal]) -> bool:
     )
 
 
-def cone_witness(n: int, sigma: Iterable[int]) -> Diagonal | None:
+def cone_witness(n: int, sigma: int) -> Diagonal | None:
     """cone_apex plus a literal check of the apex against every maximal face.
 
-    Maximal faces are enumerated from scratch as maximal noncrossing subsets of
-    the diagonals supported inside sigma, independent of the complex builder.
-    Raises RuntimeError if the apex claim fails (it never should).
+    sigma is a vertex bitmask, as for cone_apex.  Maximal faces are
+    enumerated from scratch as maximal noncrossing subsets of the diagonals
+    supported inside sigma, independent of the complex builder.  Raises
+    RuntimeError if the apex claim fails (it never should).
     """
-    s = frozenset(sigma)
-    apex = cone_apex(n, s)
-    candidates = [d for d in all_diagonals(n) if d.a in s and d.b in s]
+    apex = cone_apex(n, sigma)
+    candidates = [d for d in all_diagonals(n) if support([d]) & ~sigma == 0]
     if apex is None:
         if candidates:
-            raise RuntimeError(f"no apex yet restriction to {sorted(s)} is non-empty")
+            raise RuntimeError(f"no apex yet restriction to {vertices(sigma)} is non-empty")
         return None
     if apex not in candidates:
-        raise RuntimeError(f"apex {apex} is not supported inside {sorted(s)}")
+        raise RuntimeError(f"apex {apex} is not supported inside {vertices(sigma)}")
     for chosen in iter_noncrossing(candidates):
         face = frozenset(dissection(chosen, candidates))
         if _is_maximal(face, candidates) and apex not in face:
@@ -127,7 +128,7 @@ class ResolutionReport:
         }
 
 
-def _cone_agrees(n: int, sigma: list[int], restriction: LabeledComplex) -> bool:
+def _cone_agrees(n: int, sigma: int, restriction: LabeledComplex) -> bool:
     """Whether the cone apex of sigma lies in every maximal face of its restriction.
 
     That holds iff the apex is a kept diagonal crossing no kept diagonal:
@@ -145,11 +146,10 @@ def _cone_agrees(n: int, sigma: list[int], restriction: LabeledComplex) -> bool:
 
 def _check_mask(X: LabeledComplex, field: Field, mask: int) -> tuple[bool, bool, bool]:
     """(empty, acyclic, cone agrees) for the restriction of X to the vertex bitmask."""
-    sigma = vertices(mask)
-    R = restrict(X, sigma)
+    R = restrict(X, mask)
     empty = R.is_empty
     acyclic = empty or is_acyclic(R, field)
-    cone_ok = not 2 <= len(sigma) < X.n or _cone_agrees(X.n, sigma, R)
+    cone_ok = not 2 <= mask.bit_count() < X.n or _cone_agrees(X.n, mask, R)
     return empty, acyclic, cone_ok
 
 

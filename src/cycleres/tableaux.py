@@ -142,19 +142,6 @@ def syzygy_shape(n: int, d: int) -> Shape:
     return (d + 1, 2) + (1,) * (n - d - 3)
 
 
-def associahedron_count(n: int, d: int) -> int:
-    return hook_count(associahedron_shape(n, d))
-
-
-def syzygy_count(n: int, d: int) -> int:
-    return hook_count(syzygy_shape(n, d))
-
-
-def enumerate_family(n: int, d: int) -> list[Tableau]:
-    """All associahedron tableaux for (n, d) in canonical order."""
-    return enumerate_syt(associahedron_shape(n, d))
-
-
 def family_params(shape: Iterable[int]) -> tuple[int, int]:
     """(n, d) recovered from an associahedron shape (d+1, d+1, 1, ..., 1)."""
     s = _as_shape(shape)

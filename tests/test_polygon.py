@@ -12,8 +12,6 @@ from cycleres.polygon import (
     all_diagonals,
     classify,
     count_by_class,
-    count_by_support,
-    count_trees,
     crosses,
     diagonal,
     dissection,
@@ -21,6 +19,8 @@ from cycleres.polygon import (
     is_tree,
     iter_dissections,
     iter_noncrossing,
+    rotate,
+    slice_counts,
     support,
     vertices,
 )
@@ -101,6 +101,15 @@ def test_support_vertices_round_trip():
             for a, b in ds:
                 oracle |= {a, b}
             assert vertices(support(ds)) == sorted(oracle)
+
+
+def test_rotate_matches_the_vertex_list_oracle():
+    # vertex v goes to (v - 1 + k) % n + 1, for every k, negative and past n too
+    for n in range(1, 9):
+        for k in range(-2 * n, 2 * n + 1):
+            for mask in range(1 << n):
+                oracle = {(v - 1 + k) % n + 1 for v in vertices(mask)}
+                assert vertices(rotate(mask, n, k)) == sorted(oracle), (n, k, mask)
 
 
 def test_classify_examples():
@@ -232,16 +241,16 @@ def test_iter_dissections_range_check():
 
 
 def test_count_by_support_refinements():
-    assert count_by_support(6, 3) == {3: 2, 4: 12}
-    assert count_by_support(7, 4) == {4: 14, 5: 28}
-    assert count_by_support(8, 5) == {4: 4, 5: 64, 6: 64}
-    assert count_by_support(6, 0) == {0: 1}
+    assert slice_counts(6, 3)[0] == {3: 2, 4: 12}
+    assert slice_counts(7, 4)[0] == {4: 14, 5: 28}
+    assert slice_counts(8, 5)[0] == {4: 4, 5: 64, 6: 64}
+    assert slice_counts(6, 0)[0] == {0: 1}
 
 
 def test_count_by_support_sums_to_total():
     for n in range(4, 11):
         for d in range(0, n - 2):
-            counts = count_by_support(n, d)
+            counts = slice_counts(n, d)[0]
             assert sum(counts.values()) == sum(1 for _ in iter_dissections(n, d))
 
 
@@ -261,7 +270,7 @@ def test_count_by_class_matches_support_buckets():
     for n in range(4, 10):
         for d in range(1, n - 2):
             by_class = count_by_class(n, d)
-            by_support = count_by_support(n, d)
+            by_support = slice_counts(n, d)[0]
             assert by_class[SupportClass.PROPER] == by_support.get(d + 1, 0)
             assert by_class[SupportClass.SUPERPROPER] == sum(
                 c for s, c in by_support.items() if s > d + 1
@@ -272,12 +281,12 @@ def test_count_by_class_matches_support_buckets():
 
 
 def test_count_trees_values():
-    assert count_trees(6, 1) == 9
-    assert count_trees(6, 3) == 12
-    assert count_trees(8, 4) == 208
-    assert count_trees(6, 0) == 0
+    assert slice_counts(6, 1)[1] == 9
+    assert slice_counts(6, 3)[1] == 12
+    assert slice_counts(8, 4)[1] == 208
+    assert slice_counts(6, 0)[1] == 0
     with pytest.raises(ValueError):
-        count_trees(3, 0)
+        slice_counts(3, 0)
 
 
 def test_proper_iff_tree_through_heptagon():
@@ -289,6 +298,6 @@ def test_proper_iff_tree_through_heptagon():
 
 def test_octagon_has_proper_non_trees():
     # support-5 dissections with 4 diagonals that contain a cycle
-    proper = count_by_support(8, 4)[5]
+    proper = slice_counts(8, 4)[0][5]
     assert proper == 216
-    assert count_trees(8, 4) == proper - 8
+    assert slice_counts(8, 4)[1] == proper - 8

@@ -3,7 +3,7 @@ import pytest
 from cycleres import resolution
 from cycleres.associahedron import build, restrict
 from cycleres.homology import Field
-from cycleres.polygon import Diagonal, all_diagonals, vertices
+from cycleres.polygon import Diagonal, all_diagonals
 from cycleres.resolution import (
     ResolutionReport,
     cone_apex,
@@ -14,38 +14,51 @@ from cycleres.resolution import (
 
 
 def test_cone_witness_examples():
-    assert cone_witness(6, {1, 2, 3, 4}) == Diagonal(1, 4)
-    assert cone_witness(6, {1, 3}) == Diagonal(1, 3)
-    assert cone_witness(6, {2, 3}) is None
+    assert cone_witness(6, 0b001111) == Diagonal(1, 4)  # {1, 2, 3, 4}
+    assert cone_witness(6, 0b000101) == Diagonal(1, 3)  # {1, 3}
+    assert cone_witness(6, 0b000110) is None  # {2, 3}
+    # two runs start at 1 and at 4: the apex comes from the least start
+    assert cone_witness(6, 0b011011) == Diagonal(1, 5)  # {1, 2, 4, 5}
 
 
 def test_cone_witness_needs_rotation():
     # predecessor of 3 is outside, so 3 rotates to position 1
-    assert cone_witness(6, {1, 3, 4, 5, 6}) == Diagonal(1, 3)
+    assert cone_witness(6, 0b111101) == Diagonal(1, 3)  # {1, 3, 4, 5, 6}
     # wrap-around adjacent runs
-    assert cone_witness(7, {6, 7, 1}) == Diagonal(1, 6)
-    assert cone_witness(6, {1, 6}) is None
-    assert cone_witness(7, {2, 3}) is None
+    assert cone_witness(7, 0b1100001) == Diagonal(1, 6)  # {6, 7, 1}
+    assert cone_witness(6, 0b100001) is None  # {1, 6}
+    assert cone_witness(7, 0b0000110) is None  # {2, 3}
 
 
 def test_cone_apex_validation():
     with pytest.raises(ValueError):
-        cone_apex(6, {3})
+        cone_apex(6, 0b000100)  # {3}
     with pytest.raises(ValueError):
-        cone_apex(6, {1, 2, 3, 4, 5, 6})
+        cone_apex(6, 0b111111)
     with pytest.raises(ValueError):
-        cone_apex(6, {0, 3})
+        cone_apex(6, 1 << 6 | 0b100)  # a vertex 7
     with pytest.raises(ValueError):
-        cone_apex(6, set())
+        cone_apex(6, -1)
+    with pytest.raises(ValueError):
+        cone_apex(6, 0)
+
+
+def test_cone_functions_refuse_a_vertex_list():
+    # a list is not misread as a set of vertices: only a bitmask is a vertex set
+    for sigma in ([1, 3, 5], {1, 3, 5}, range(1, 4)):
+        with pytest.raises(TypeError):
+            cone_apex(6, sigma)
+        with pytest.raises(TypeError):
+            cone_witness(6, sigma)
 
 
 def test_cone_apex_skips_enumeration():
-    # same answers as cone_witness on every proper subset of a heptagon
-    for mask in range(1 << 7):
-        sigma = {v for v in range(1, 8) if mask >> (v - 1) & 1}
-        if not 2 <= len(sigma) < 7:
-            continue
-        assert cone_apex(7, sigma) == cone_witness(7, sigma)
+    # same answers as cone_witness on every proper subset, so the apex's
+    # wrap-around at both ends of the polygon is checked for each n
+    for n in range(4, 10):
+        for mask in range(1 << n):
+            if 2 <= mask.bit_count() < n:
+                assert cone_apex(n, mask) == cone_witness(n, mask), (n, mask)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -55,21 +68,20 @@ def test_cone_check_matches_maximal_faces(n, monkeypatch):
     X = build(n)
     verdicts = set()
     for mask in range(1 << n):
-        sigma = vertices(mask)
-        if not 2 <= len(sigma) < n:
+        if not 2 <= mask.bit_count() < n:
             continue
-        R = restrict(X, sigma)
-        maximal = restrict(X, sigma).maximal_faces()
-        for apex in [cone_apex(n, sigma), *all_diagonals(n)]:
+        R = restrict(X, mask)
+        maximal = R.maximal_faces()
+        for apex in [cone_apex(n, mask), *all_diagonals(n)]:
             monkeypatch.setattr(resolution, "cone_apex", lambda n, sigma: apex)
             if R.is_empty:
                 old = apex is None
             else:
                 old = apex is not None and all(apex in f.diagonals for f in maximal)
-            assert resolution._cone_agrees(n, sigma, R) == old, (sigma, apex)
+            assert resolution._cone_agrees(n, mask, R) == old, (mask, apex)
             verdicts.add(old)
         monkeypatch.undo()
-        assert resolution._cone_agrees(n, sigma, R)
+        assert resolution._cone_agrees(n, mask, R)
     assert verdicts == {True, False}
 
 

@@ -4,17 +4,14 @@ from cycleres.associahedron import f_formula
 from cycleres.betti import betti_closed_form
 from cycleres.tableaux import (
     Tableau,
-    associahedron_count,
     associahedron_shape,
     conjugate,
-    enumerate_family,
     enumerate_syt,
     family_params,
     hook_count,
     involution,
     restrict_to_syzygy,
     restricts_to_syzygy,
-    syzygy_count,
     syzygy_shape,
 )
 
@@ -114,16 +111,16 @@ def test_family_counts_match_dissections_and_betti():
     assert hook_count((2, 2, 1)) == f_formula(5, 1) == 5
     for n in range(4, 13):
         for d in range(1, n - 2):
-            assert associahedron_count(n, d) == f_formula(n, d)
+            assert hook_count(associahedron_shape(n, d)) == f_formula(n, d)
     for n in range(5, 13):
         for d in range(1, n - 2):
-            assert syzygy_count(n, d) == betti_closed_form(n, d)
+            assert hook_count(syzygy_shape(n, d)) == betti_closed_form(n, d)
 
 
 def test_syzygy_counts_frozen():
-    assert syzygy_count(6, 2) == 16
-    assert syzygy_count(5, 1) == 5
-    assert syzygy_count(9, 4) == 189
+    assert hook_count(syzygy_shape(6, 2)) == 16
+    assert hook_count(syzygy_shape(5, 1)) == 5
+    assert hook_count(syzygy_shape(9, 4)) == 189
 
 
 def test_restricts_to_syzygy_examples():
@@ -173,7 +170,7 @@ def test_involution_shrinks_from_row_end():
 
 def test_involution_d1_always_fixed():
     for n in (5, 6, 7):
-        for t in enumerate_family(n, 1):
+        for t in enumerate_syt(associahedron_shape(n, 1)):
             assert involution(t) == t
 
 
@@ -181,7 +178,7 @@ def test_involution_exhaustive_small():
     for n in (5, 6, 7):
         for d in range(1, n - 2):
             fixed = 0
-            for t in enumerate_family(n, d):
+            for t in enumerate_syt(associahedron_shape(n, d)):
                 s = involution(t)
                 assert involution(s) == t
                 if s == t:
@@ -198,7 +195,7 @@ def test_involution_fixed_points_are_the_betti_tableaux():
     # tableaux gives every syzygy tableau exactly once
     for n in range(5, 10):
         for d in range(1, n - 2):
-            fixed = [t for t in enumerate_family(n, d) if involution(t) == t]
+            fixed = [t for t in enumerate_syt(associahedron_shape(n, d)) if involution(t) == t]
             restricted = sorted(restrict_to_syzygy(t) for t in fixed)
             assert restricted == enumerate_syt(syzygy_shape(n, d)), (n, d)
 
