@@ -291,10 +291,26 @@ class LabeledComplex:
         """
         return sorted((lo, hi) for hi in self.ids() for lo in self._below[hi])
 
-    def equal_label_covers(self) -> list[tuple[int, int]]:
-        """The pairs of ``covers`` whose faces have equal labels, sorted from the facet table."""
+    def equal_label_covers(self) -> Iterator[tuple[int, int]]:
+        """The pairs of ``covers`` whose faces have equal labels, yielded in sorted order.
+
+        A cover joins dimension k to k + 1 and ids ascend block by block,
+        so sorted order is block order, then lower id, then upper id.  The
+        pairs are read from the facet rows of one block at a time, into
+        up-lists keyed by lower id that reading in id order keeps sorted;
+        only one block's pairs are held at once.
+        """
         labels, below = self.labels, self._below
-        return sorted((lo, hi) for hi in self.ids() for lo in below[hi] if labels[lo] == labels[hi])
+        for ids in self.kept.values():
+            up: dict[int, list[int]] = defaultdict(list)
+            for hi in ids:
+                label = labels[hi]
+                for lo in below[hi]:
+                    if labels[lo] == label:
+                        up[lo].append(hi)
+            for lo in sorted(up):
+                for hi in up[lo]:
+                    yield lo, hi
 
     def maximal_faces(self) -> list[Face]:
         """Faces with no cover above them (the interior cell counts)."""

@@ -113,7 +113,7 @@ def _cmd_verify_resolution(args) -> Result:
         args.n, field, max_n=args.max_n, workers=args.threads, progress=progress
     )
     X = build(args.n)
-    witnesses = len(X.equal_label_covers())
+    witnesses = sum(1 for _ in X.equal_label_covers())
     acyclic = report.checked - report.empty_restrictions - len(report.failures)
     failures = "; ".join(str(vertices(s)) for s in report.failures)
     mismatches = "; ".join(str(vertices(s)) for s in report.cone_mismatches)

@@ -140,27 +140,27 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     """
     problems = []
     labels, below = X.labels, X.covers_below()
-    covers = []
+    match_at_lower: dict[int, int] = {}
     for lo, hi in m.pairs:
         if not (hi in X and lo in below[hi]):
             problems.append(f"pair ({lo},{hi}) is not a cover relation")
             continue
-        covers.append((lo, hi))
+        match_at_lower[lo] = hi
         if labels[lo] != labels[hi]:
             problems.append(
                 f"pair ({lo},{hi}) joins labels {vertices(labels[lo])} != {vertices(labels[hi])}"
             )
-    use = Counter(fid for pair in m.pairs for fid in pair)
-    for fid, k in sorted(use.items()):
-        if k > 1:
-            problems.append(f"face {fid} appears in {k} pairs")
-    match_at_lower = dict(covers)
+    if len(m.matched_ids) != 2 * len(m.pairs):  # some face lies in two pairs
+        use = Counter(fid for pair in m.pairs for fid in pair)
+        for fid, k in sorted(use.items()):
+            if k > 1:
+                problems.append(f"face {fid} appears in {k} pairs")
     step = _pair_successors(match_at_lower, below)
     cycle = _find_cycle(sorted(match_at_lower), step)
     if cycle is not None:
         problems.append("directed cycle through lower faces " + "->".join(map(str, cycle)))
     if full_graph:
-        matched = set(covers)
+        matched = set(m.pairs)  # only covers are looked up in it
         adj: list[list[int]] = [[] for _ in below]
         for hi in X.ids():
             for lo in below[hi]:
@@ -232,14 +232,14 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     """
     match_at_lower = dict(m.pairs)
     step = _pair_successors(match_at_lower, X.covers_below())
-    matched = set(m.matched_ids)
+    # a face is matched when it is a key of match_at_lower or one of these
+    uppers = {hi for _, hi in m.pairs}
     for lo, hi in X.equal_label_covers():
-        if lo in matched or hi in matched:
+        if lo in match_at_lower or lo in uppers or hi in match_at_lower or hi in uppers:
             continue
         match_at_lower[lo] = hi
         if _find_cycle([lo], step) is not None:
             del match_at_lower[lo]
             continue
-        matched.add(lo)
-        matched.add(hi)
+        uppers.add(hi)
     return MorseMatching(tuple(match_at_lower.items()))

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
+from operator import ge, lt
 
 Shape = tuple[int, ...]
 
@@ -21,12 +23,12 @@ DEFAULT_CELL_CAP = 14
 
 
 def _as_shape(shape: Iterable[int]) -> Shape:
-    s = tuple(int(p) for p in shape)
+    s = tuple(map(int, shape))
     if not s:
         raise ValueError("shape must have at least one part")
-    if any(p < 1 for p in s):
+    if min(s) < 1:
         raise ValueError(f"shape parts must be positive: {s}")
-    if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
+    if any(map(lt, s, s[1:])):
         raise ValueError(f"shape parts must be weakly decreasing: {s}")
     return s
 
@@ -64,19 +66,20 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple([tuple(map(int, row)) for row in self.rows])
         object.__setattr__(self, "rows", rows)
-        _as_shape(len(r) for r in rows)
-        entries = [v for row in rows for v in row]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
+        _as_shape(map(len, rows))
+        entries = sorted(chain.from_iterable(rows))
+        if entries != list(range(1, len(entries) + 1)):
             raise ValueError(f"entries must be exactly 1..{len(entries)}")
         for row in rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            if any(map(ge, row, row[1:])):
                 raise ValueError(f"row {row} is not strictly increasing")
-        for i in range(1, len(rows)):
-            for j in range(len(rows[i])):
-                if rows[i - 1][j] >= rows[i][j]:
-                    raise ValueError(f"column {j} is not strictly increasing")
+        # the shape check above makes each row no longer than the one above it
+        for above, row in zip(rows, rows[1:]):
+            if any(map(ge, above, row)):
+                j = list(map(ge, above, row)).index(True)
+                raise ValueError(f"column {j} is not strictly increasing")
 
     @property
     def shape(self) -> Shape:

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -248,13 +249,28 @@ def test_equal_label_covers_match_the_covers_oracle():
         for Y in (X, boundary_complex(X)):
             labels = [f.label for f in Y.faces]
             oracle = [(lo, hi) for lo, hi in Y.covers if labels[lo] == labels[hi]]
-            assert Y.equal_label_covers() == oracle, n
+            assert list(Y.equal_label_covers()) == oracle, n
     for R in _complexes(6):
         labels = {g: R.faces[g].label for g in R.ids()}
-        assert R.equal_label_covers() == [
+        assert list(R.equal_label_covers()) == [
             (lo, hi) for lo, hi in R.covers if labels[lo] == labels[hi]
         ]
 
+
+
+def test_equal_label_covers_hold_one_block_at_a_time():
+    # streaming the pairs must cost well under the sorted list of them
+    X = build(10)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in X.equal_label_covers())
+        _, streamed = tracemalloc.get_traced_memory()
+        pairs = sorted(X.equal_label_covers())
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == len(pairs)
+    assert streamed < held / 2, (streamed, held)
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_every_complex_has_kept_positions(n):

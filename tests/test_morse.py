@@ -141,6 +141,29 @@ def test_validate_rejects_double_use():
     assert any("appears in 2 pairs" in p for p in report.problems)
 
 
+
+def test_validate_reports_each_repeated_face_once_in_id_order():
+    X = build(6)
+    fid = X.face_id
+    vertex = fid([(1, 3)])
+    lo = fid([(1, 3), (4, 6)])
+    hi1 = fid([(1, 3), (3, 6), (4, 6)])
+    hi2 = fid([(1, 3), (1, 4), (4, 6)])
+    top = len(X) - 1
+    # lo lies in three pairs, hi1 in two
+    m = MorseMatching(((lo, hi1), (lo, hi2), (vertex, lo), (hi1, top)))
+    assert (vertex, lo, hi1, hi2, top) == (1, 14, 35, 32, 45)
+    expected = (
+        "pair (1,14) joins labels [1, 3] != [1, 3, 4, 6]",
+        "pair (35,45) joins labels [1, 3, 4, 6] != [1, 2, 3, 4, 5, 6]",
+        "face 14 appears in 3 pairs",
+        "face 35 appears in 2 pairs",
+    )
+    assert validate(m, X).problems == expected
+    assert validate(m, X, full_graph=True).problems == (
+        *expected, "oriented Hasse cycle 1->14->32->10->1"
+    )
+
 def test_validate_rejects_directed_cycle():
     # three vertex-edge pairs arranged in a ring; labels are wrong too,
     # but both cycle detectors must fire
