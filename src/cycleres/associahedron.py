@@ -143,9 +143,10 @@ class LabeledComplex:
     the interior cell every triangulation), and the labels, a face's
     label being its facet's without the last diagonal plus that
     diagonal's endpoints, and (1 << n) - 1 on the interior cell.  A
-    missing subface raises ValueError, so every complex built from a
-    face list is closed under subfaces.  ``faces[g]`` makes face g's
-    ``Face`` when read.
+    missing subface raises ValueError, and so does an interior cell
+    without all f_formula(n, n - 3) triangulations, so every complex
+    built from a face list is closed under subfaces.  ``faces[g]``
+    makes face g's ``Face`` when read.
 
     ``kept`` holds, per dimension, the ids of the complex's faces, and
     every reader of them iterates ``ids()``.  A face list's ``kept`` is
@@ -177,7 +178,12 @@ class LabeledComplex:
         below: list[list[int]] = []
         for mask in dissections:
             if mask is None:
-                below.append(list(self.kept.get(n - 4, ())))
+                row = list(self.kept.get(n - 4, ()))
+                if len(row) != (want := f_formula(n, n - 3)):
+                    raise ValueError(
+                        f"the interior cell needs all {want} triangulations, found {len(row)}"
+                    )
+                below.append(row)
                 labels.append(vertex_sets[-1])
                 continue
             row = []

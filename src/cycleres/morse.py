@@ -57,12 +57,6 @@ def _superproper_partner(d1: Diagonal, d2: Diagonal) -> Diagonal:
     return Diagonal(j, l) if j < k else Diagonal(i, l)
 
 
-def _triangle_partner(face_label: int) -> tuple[Diagonal, Diagonal]:
-    """The two short sides {ij, jk} kept when matching a triangle downward."""
-    i, j, k = vertices(face_label)
-    return Diagonal(i, j), Diagonal(j, k)
-
-
 def _partner(X: LabeledComplex, fid: int, diagonals: Iterable[Diagonal]) -> int:
     """The id of the face with these diagonals, the partner of face ``fid``."""
     g = X.face_id(sorted(diagonals))
@@ -82,9 +76,11 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
         if dissections[fid] is not None and labels[fid].bit_count() == 4:
             d1, d2 = X.faces[fid].diagonals
             pairs.append((fid, _partner(X, fid, (d1, d2, _superproper_partner(d1, d2)))))
+    below = X.covers_below()
     for fid in X.kept.get(2, ()):  # the interior cell is here at n = 5, with 5 vertices
         if labels[fid].bit_count() == 3:
-            pairs.append((_partner(X, fid, _triangle_partner(labels[fid])), fid))
+            # the triangle's diagonals are ij < ik < jk: row entry 1 drops ik, keeping {ij, jk}
+            pairs.append((below[fid][1], fid))
     return MorseMatching(tuple(pairs))
 
 
@@ -156,7 +152,8 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
             if k > 1:
                 problems.append(f"face {fid} appears in {k} pairs")
     step = _pair_successors(match_at_lower, below)
-    cycle = _find_cycle(sorted(match_at_lower), step)
+    # its keys ascend: they come from m.pairs, which is sorted
+    cycle = _find_cycle(match_at_lower, step)
     if cycle is not None:
         problems.append("directed cycle through lower faces " + "->".join(map(str, cycle)))
     if full_graph:

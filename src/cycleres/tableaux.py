@@ -11,7 +11,7 @@ d values and fixes exactly the tableaux that restrict to syzygy shape.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 from math import factorial
@@ -99,10 +99,12 @@ class Tableau:
 def enumerate_syt(shape: Iterable[int]) -> list[Tableau]:
     """All standard Young tableaux of the shape, sorted by reading word.
 
-    Entries 1..N are placed in increasing order; a cell is available when
-    it is the first free slot of its row and the cell above is filled.
-    Shapes with more than DEFAULT_CELL_CAP cells are refused (the count
-    grows like a factorial; use hook_count for counting).
+    Entries 1..N are placed in increasing order into a tuple of row
+    tuples; a cell is available when it is the first free slot of its row
+    and the cell above is filled.  The finished fillings are sorted as
+    tuples and each becomes a ``Tableau`` once.  Shapes with more than
+    DEFAULT_CELL_CAP cells are refused (the count grows like a factorial;
+    use hook_count for counting).
     """
     s = _as_shape(shape)
     total = sum(s)
@@ -110,25 +112,19 @@ def enumerate_syt(shape: Iterable[int]) -> list[Tableau]:
         raise ValueError(
             f"shape {s} has {total} cells, above the enumeration cap {DEFAULT_CELL_CAP}"
         )
-    fill = [0] * len(s)
-    rows: list[list[int]] = [[] for _ in s]
-    out: list[Tableau] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
 
-    def place(value: int) -> None:
+    def place(rows: tuple[tuple[int, ...], ...], value: int) -> None:
         if value > total:
-            out.append(Tableau(tuple(tuple(r) for r in rows)))
+            out.append(rows)
             return
-        for r in range(len(s)):
-            if fill[r] < s[r] and (r == 0 or fill[r - 1] > fill[r]):
-                rows[r].append(value)
-                fill[r] += 1
-                place(value + 1)
-                rows[r].pop()
-                fill[r] -= 1
+        for r, row in enumerate(rows):
+            if len(row) < s[r] and (r == 0 or len(rows[r - 1]) > len(row)):
+                place(rows[:r] + (row + (value,),) + rows[r + 1:], value + 1)
 
-    place(1)
+    place(((),) * len(s), 1)
     out.sort()
-    return out
+    return [Tableau(rows) for rows in out]
 
 
 def associahedron_shape(n: int, d: int) -> Shape:
@@ -162,8 +158,8 @@ def restricts_to_syzygy(t: Tableau) -> bool:
     occupy the tail of row two, deleting them leaves a syzygy tableau.
     """
     n, d = family_params(t.shape)
-    row2 = set(t.rows[1])
-    return all(v in row2 for v in range(n + 1, n + d))
+    # n+1 .. n+d-1 are the largest entries, so in row two they are its tail
+    return t.rows[1][2:] == tuple(range(n + 1, n + d))
 
 
 def restrict_to_syzygy(t: Tableau) -> Tableau:
@@ -185,25 +181,20 @@ def involution(t: Tableau) -> Tableau:
     lands in family (n, d-1)).  Applying the map twice returns the input.
     """
     n, d = family_params(t.shape)
-    row2 = set(t.rows[1])
-    outside = [v for v in range(n + 1, n + d) if v not in row2]
+    first, second, *column = t.rows
+    outside = [v for v in range(n + 1, n + d) if v not in second]
     if not outside:
         return t
     i = max(outside)
-    rows = [list(r) for r in t.rows]
-    if len(rows) > 2 and rows[-1][0] == i:
+    if column and column[-1][0] == i:
         # bottom of the first column: grow both long rows
-        new_rows = [rows[0] + [i], rows[1] + [n + d]] + rows[2:-1]
-        result = Tableau(tuple(tuple(r) for r in new_rows))
+        result = Tableau((first + (i,), second + (n + d,), *column[:-1]))
         expected = associahedron_shape(n, d + 1)
-    elif rows[0][-1] == i:
+    elif first[-1] == i:
         # end of the first row: shrink both long rows
-        if rows[1][-1] != n + d - 1:
-            raise RuntimeError(
-                f"second row must end with {n + d - 1}, found {rows[1][-1]}"
-            )
-        new_rows = [rows[0][:-1], rows[1][:-1]] + rows[2:] + [[i]]
-        result = Tableau(tuple(tuple(r) for r in new_rows))
+        if second[-1] != n + d - 1:
+            raise RuntimeError(f"second row must end with {n + d - 1}, found {second[-1]}")
+        result = Tableau((first[:-1], second[:-1], *column, (i,)))
         expected = associahedron_shape(n, d - 1)
     else:
         raise RuntimeError(

@@ -155,6 +155,17 @@ def test_unclosed_face_list_rejected():
         LabeledComplex(5, faces)
 
 
+def test_interior_cell_without_its_boundary_rejected():
+    # no subface is missing below a simplicial face in either list, but
+    # the interior cell's boundary is not all five triangulations
+    X = build(5)
+    without_one = [*X.dissections[:-2], X.dissections[-1]]
+    cases = [([0, None], 0), (without_one, 4)]
+    for faces, found in cases:
+        with pytest.raises(ValueError, match=f"needs all 5 triangulations, found {found}$"):
+            LabeledComplex(5, faces)
+
+
 def test_face_list_out_of_canonical_order_rejected():
     X = build(5)
     faces = X.dissections

@@ -1,3 +1,6 @@
+import hashlib
+from itertools import accumulate, combinations_with_replacement, permutations
+
 import pytest
 
 from cycleres.associahedron import f_formula
@@ -73,6 +76,28 @@ def test_enumerate_five_tableaux_in_reading_order():
         ((1, 3), (2, 5), (4,)),
         ((1, 4), (2, 5), (3,)),
     ]
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_enumerate_matches_the_permutation_oracle(size):
+    # every filling of the shape by a permutation of 1..N that increases
+    # along rows and down columns, sorted as tuples of rows
+    shapes = [
+        p
+        for k in range(1, size + 1)
+        for p in combinations_with_replacement(range(size, 0, -1), k)
+        if sum(p) == size
+    ]
+    for shape in shapes:
+        starts = list(accumulate(shape, initial=0))
+        oracle = []
+        for perm in permutations(range(1, size + 1)):
+            rows = tuple(perm[a:b] for a, b in zip(starts, starts[1:]))
+            along = all(x < y for row in rows for x, y in zip(row, row[1:]))
+            down = all(x < y for above, row in zip(rows, rows[1:]) for x, y in zip(above, row))
+            if along and down:
+                oracle.append(rows)
+        assert [t.rows for t in enumerate_syt(shape)] == sorted(oracle), shape
 
 
 def test_enumerate_matches_hook_count_small_shapes():
@@ -198,6 +223,19 @@ def test_involution_fixed_points_are_the_betti_tableaux():
             fixed = [t for t in enumerate_syt(associahedron_shape(n, d)) if involution(t) == t]
             restricted = sorted(restrict_to_syzygy(t) for t in fixed)
             assert restricted == enumerate_syt(syzygy_shape(n, d)), (n, d)
+
+
+def test_involution_full_map_is_pinned():
+    # sha256 of the involution on every associahedron tableau for n = 4..9,
+    # one line per tableau in enumeration order
+    digest = hashlib.sha256()
+    for n in range(4, 10):
+        for d in range(1, n - 2):
+            for t in enumerate_syt(associahedron_shape(n, d)):
+                digest.update(f"{n} {d} {t.rows} {involution(t).rows}\n".encode())
+    assert digest.hexdigest() == (
+        "9cfa9e24f0738a5c3eca61a055622826c1915f1f84806b588f47db7c35209a27"
+    )
 
 
 def test_tableau_json_and_str():
