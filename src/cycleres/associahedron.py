@@ -27,7 +27,15 @@ from dataclasses import dataclass
 from itertools import chain
 from math import comb
 
-from .polygon import Diagonal, all_diagonals, dissection, iter_noncrossing, support, vertices
+from .polygon import (
+    Diagonal,
+    all_diagonals,
+    crosses,
+    dissection,
+    iter_noncrossing,
+    support,
+    vertices,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,9 +151,10 @@ class LabeledComplex:
     the interior cell every triangulation), and the labels, a face's
     label being its facet's without the last diagonal plus that
     diagonal's endpoints, and (1 << n) - 1 on the interior cell.  A
-    missing subface raises ValueError, and so does an interior cell
-    without all f_formula(n, n - 3) triangulations, so every complex
-    built from a face list is closed under subfaces.  ``faces[g]``
+    missing subface raises ValueError, and so do a face of two crossing
+    diagonals and an interior cell without all f_formula(n, n - 3)
+    triangulations, so every complex built from a face list is closed
+    under subfaces and every face is a dissection.  ``faces[g]``
     makes face g's ``Face`` when read.
 
     ``kept`` holds, per dimension, the ids of the complex's faces, and
@@ -196,6 +205,9 @@ class LabeledComplex:
                     raise ValueError(f"face {_face(n, diagonals, mask, 0)} lacks its subface {sub}")
                 row.append(lo)
                 rest ^= low
+            # a larger set with a crossing pair lacks that pair or failed on it
+            if len(row) == 2 and crosses(*dissection(mask, diagonals)):
+                raise ValueError(f"face {_face(n, diagonals, mask, 0)} has crossing diagonals")
             # low is the last diagonal, and row[-1] the facet without it
             labels.append(vertex_sets[labels[row[-1]] | ends[low.bit_length() - 1]] if row else 0)
             below.append(row)

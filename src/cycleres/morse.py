@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Callable, Iterable
 
@@ -21,15 +20,22 @@ from .polygon import Diagonal, SupportClass, count_by_class, vertices
 
 @dataclass(frozen=True)
 class MorseMatching:
-    """A set of matched cover pairs (lower face id, upper face id)."""
+    """A set of matched cover pairs (lower face id, upper face id).
+
+    Keeps the pair tuples it is given, without repeats and sorted; a face
+    id that is not an int raises TypeError.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted({(int(lo), int(hi)) for lo, hi in self.pairs}))
-        object.__setattr__(self, "pairs", canon)
+        pairs = tuple(sorted(set(self.pairs)))
+        for lo, hi in pairs:
+            if type(lo) is not int or type(hi) is not int:
+                raise TypeError(f"pair {(lo, hi)!r} holds a face id that is not an int")
+        object.__setattr__(self, "pairs", pairs)
 
-    @cached_property
+    @property
     def matched_ids(self) -> frozenset[int]:
         return frozenset(fid for pair in self.pairs for fid in pair)
 
@@ -81,7 +87,7 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
         if labels[fid].bit_count() == 3:
             # the triangle's diagonals are ij < ik < jk: row entry 1 drops ik, keeping {ij, jk}
             pairs.append((below[fid][1], fid))
-    return MorseMatching(tuple(pairs))
+    return MorseMatching(pairs)
 
 
 def _find_cycle(
@@ -239,4 +245,4 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
             del match_at_lower[lo]
             continue
         uppers.add(hi)
-    return MorseMatching(tuple(match_at_lower.items()))
+    return MorseMatching(match_at_lower.items())

@@ -23,9 +23,11 @@ DEFAULT_CELL_CAP = 14
 
 
 def _as_shape(shape: Iterable[int]) -> Shape:
-    s = tuple(map(int, shape))
+    s = tuple(shape)
     if not s:
         raise ValueError("shape must have at least one part")
+    if {*map(type, s)} != {int}:
+        raise TypeError(f"shape parts must be ints: {s}")
     if min(s) < 1:
         raise ValueError(f"shape parts must be positive: {s}")
     if any(map(lt, s, s[1:])):
@@ -60,16 +62,19 @@ class Tableau:
 
     ``rows`` is a tuple of strictly increasing tuples, strictly increasing
     down columns as well; ordering is lexicographic on the row reading
-    word.
+    word.  Keeps the row tuples it is given; an entry that is not an int
+    raises TypeError.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple([tuple(map(int, row)) for row in self.rows])
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         _as_shape(map(len, rows))
         entries = sorted(chain.from_iterable(rows))
+        if {*map(type, entries)} != {int}:
+            raise TypeError(f"entries must be ints: {rows}")
         if entries != list(range(1, len(entries) + 1)):
             raise ValueError(f"entries must be exactly 1..{len(entries)}")
         for row in rows:

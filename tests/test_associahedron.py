@@ -192,6 +192,33 @@ def test_face_list_out_of_canonical_order_rejected():
     assert LabeledComplex(5, list(faces)).covers == build(5).covers
 
 
+def test_face_of_crossing_diagonals_rejected():
+    X = build(6)
+    faces = X.dissections
+    bit = {d: 1 << j for j, d in enumerate(all_diagonals(6))}
+    pair = bit[Diagonal(1, 3)] | bit[Diagonal(2, 4)]
+    triple = pair | bit[Diagonal(1, 4)]
+
+    def with_face(mask):
+        # mask inserted into its dimension block in canonical order
+        block = X.kept[mask.bit_count() - 1]
+        ordered = sorted(
+            [*faces[block.start:block.stop], mask],
+            key=lambda m: [j for j in range(len(bit)) if m >> j & 1],
+        )
+        return [*faces[:block.start], *ordered, *faces[block.stop:]]
+
+    cases = [
+        (with_face(pair), "face {1-3,2-4} has crossing diagonals"),
+        (with_face(triple), "face {1-3,1-4,2-4} lacks its subface {1-3,2-4}"),
+        # the order check still fires first
+        ([*faces[:-1], pair, faces[-1]], "{1-3,2-4} of dimension 1 follows one of dimension 2"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabeledComplex(6, bad)
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_faces_read_as_the_tuple_oracle(n):
     # every non-crossing tuple of diagonals, by size and then in

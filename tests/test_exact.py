@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import cycleres
+from cycleres.morse import MorseMatching
+from cycleres.tableaux import Tableau, hook_count
 
 
 def test_source_has_no_float_arithmetic():
@@ -22,3 +26,16 @@ def test_source_has_no_float_arithmetic():
             if true_division or float_literal or float_call:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_non_int_input_is_rejected_not_truncated():
+    # int() would read these as (1, 2)/(3,), shape (2, 1) and pair (1, 3)
+    for rows in (((1.5, 2), (3,)), ((True, 2), (3,))):
+        with pytest.raises(TypeError, match="entries must be ints"):
+            Tableau(rows)
+    for shape in ((2.5, 1), (2, True)):
+        with pytest.raises(TypeError, match="shape parts must be ints"):
+            hook_count(shape)
+    for pair in ((1.7, 3.2), (1, True)):
+        with pytest.raises(TypeError, match="not an int"):
+            MorseMatching((pair,))

@@ -257,3 +257,16 @@ def test_matching_normalization_and_json():
     assert m.matched_ids == frozenset({1, 3, 5, 9})
     assert len(m) == 2
     assert m.to_json() == [[1, 3], [5, 9]]
+
+
+def test_matching_keeps_the_pair_tuples_it_is_given():
+    p = (1, 3)
+    assert MorseMatching((p,)).pairs[0] is p
+
+
+def test_matching_holds_only_its_pairs_after_use():
+    X = build(7)
+    m = greedy_extend(d2_matching(X), X)
+    assert validate(m, X).ok
+    critical_cells(m, X)
+    assert list(vars(m)) == ["pairs"]

@@ -242,3 +242,10 @@ def test_tableau_json_and_str():
     t = Tableau(((1, 2), (3, 4), (5,)))
     assert t.to_json() == [[1, 2], [3, 4], [5]]
     assert str(t) == "12/34/5"
+
+
+def test_tableau_keeps_its_row_tuples():
+    rows = ((1, 2, 4), (3, 5), (6,))
+    t = Tableau(rows)
+    assert len(t.rows) == len(rows)
+    assert all(t.rows[i] is rows[i] for i in range(len(rows)))
