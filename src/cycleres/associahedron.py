@@ -13,8 +13,10 @@ A dissection has one form, its diagonal bitmask (bit j for
 as two columns of ints and makes a ``Face`` only when one is read.
 A face is its position: its id is its index in the face list that holds
 it, and every id the module hands out (``kept``, the facet table, the
-label index, ``face_id``) is such an index.  A restriction and the
-boundary sphere are views of the face list, so a face has one id in
+label index, ``face_id``) is such an index.  No dict keyed by dissection
+outlives the constructor: ``face_id`` bisects the face's dimension
+block, which is sorted lexicographically by diagonal.  A restriction and
+the boundary sphere are views of the face list, so a face has one id in
 every complex that holds it.
 """
 
@@ -161,8 +163,8 @@ class LabeledComplex:
     every reader of them iterates ``ids()``.  A face list's ``kept`` is
     its dimension blocks, stored once as id ranges.  A view (see
     ``restrict`` and ``boundary_complex``) records the face list as its
-    ``parent``, shares its columns, ``faces``, facet table and lookup, and
-    owns only its ``kept`` ids, which are closed under subfaces.  So a
+    ``parent``, shares its columns, ``faces`` and facet table, and owns
+    only its ``kept`` ids, which are closed under subfaces.  So a
     view's ``faces`` may hold faces it does not keep; ``fid in X`` tells.
     """
 
@@ -178,16 +180,17 @@ class LabeledComplex:
         self.kept = _dimension_blocks(n, diagonals, dissections)
         self.n = n
         self.dissections = dissections
-        self._index = index = dict(zip(dissections, range(len(dissections))))
+        # a local, freed on return: face_id bisects a dimension block instead
+        index = dict(zip(dissections, range(len(dissections))))
         self._bits = {d: j for j, d in enumerate(diagonals)}
         ends = [support([d]) for d in diagonals]
         # one int per vertex set, shared by every face with that label
         vertex_sets = list(range(1 << n))
         labels: list[int] = []
-        below: list[list[int]] = []
+        below: list[tuple[int, ...]] = []
         for mask in dissections:
             if mask is None:
-                row = list(self.kept.get(n - 4, ()))
+                row = tuple(self.kept.get(n - 4, ()))
                 if len(row) != (want := f_formula(n, n - 3)):
                     raise ValueError(
                         f"the interior cell needs all {want} triangulations, found {len(row)}"
@@ -210,7 +213,7 @@ class LabeledComplex:
                 raise ValueError(f"face {_face(n, diagonals, mask, 0)} has crossing diagonals")
             # low is the last diagonal, and row[-1] the facet without it
             labels.append(vertex_sets[labels[row[-1]] | ends[low.bit_length() - 1]] if row else 0)
-            below.append(row)
+            below.append(tuple(row))
         self.labels = labels
         self._below = below
         self.faces = _Faces(n, diagonals, dissections, labels)
@@ -221,7 +224,7 @@ class LabeledComplex:
         V = LabeledComplex.__new__(LabeledComplex)
         V.n, V.parent, V.kept = owner.n, owner, kept
         V.dissections, V.labels, V.faces = owner.dissections, owner.labels, owner.faces
-        V._index, V._bits, V._below = owner._index, owner._bits, owner._below
+        V._bits, V._below = owner._bits, owner._below
         return V
 
     def _label_index(self) -> dict[int, dict[int, list[int]]]:
@@ -270,6 +273,8 @@ class LabeledComplex:
         """The id of the kept face with these diagonals, in order, or None if there is none.
 
         None also when a pair is not a diagonal, repeats or comes out of order.
+        The face list's block of the face's dimension is in canonical order,
+        lexicographic by diagonal, so the id is found by bisecting it.
         """
         mask, last = 0, -1
         for pair in diagonals:
@@ -278,8 +283,17 @@ class LabeledComplex:
                 return None
             mask |= 1 << j
             last = j
-        fid = self._index.get(mask)
-        return fid if fid is not None and fid in self else None
+        dim = mask.bit_count() - 1
+        if dim >= self.n - 3:  # only the interior cell is that large
+            return None
+        block = (self if self.parent is None else self.parent).kept.get(dim, ())
+        dissections, every = self.dissections, self.faces.diagonals
+        i = bisect_left(
+            block, dissection(mask, every), key=lambda g: dissection(dissections[g], every)
+        )
+        if i == len(block) or dissections[block[i]] != mask:
+            return None
+        return block[i] if block[i] in self else None
 
     def faces_of_dim(self, dim: int) -> list[Face]:
         """The faces of dimension dim, in id order."""
@@ -290,12 +304,12 @@ class LabeledComplex:
         diagonals, dissections = self.faces.diagonals, self.dissections
         return [diagonals[dissections[g].bit_length() - 1] for g in self.kept.get(0, ())]
 
-    def covers_below(self) -> list[list[int]]:
+    def covers_below(self) -> list[tuple[int, ...]]:
         """The facet table of the face list, indexed by face id: the ids each face covers.
 
-        A simplicial face's row holds its dissection minus its i-th
-        diagonal at index i; the interior cell's row holds the
-        triangulations in id order.  A view shares its face list's table,
+        A row is a tuple.  A simplicial face's row holds its dissection
+        minus its i-th diagonal at index i; the interior cell's row holds
+        the triangulations in id order.  A view shares its face list's table,
         whose rows at the kept ids hold only kept ids.  The table is the
         stored cover relation, not a copy: callers must not change it.
         """

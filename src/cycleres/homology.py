@@ -10,7 +10,9 @@ face is its id, its position in the face list, and that id is its row:
 row g lists the ids of the cells that cell g covers, and its i-th entry has
 coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n only
 the interior cell has).  For A_n the table is ``covers_below()`` itself,
-not a copy; dd = 0 is checked once over the integers.  Each rank builds
+not a copy; dd = 0 is checked once over the integers, by pairing the
+ids of an unsigned row's terms where they pair up and by summing
+elsewhere.  Each rank builds
 the rows it needs for the field asked for, as id sets for GF(2) and
 ``{id: ±1}`` dicts for the rationals, and reduces them against pivot
 rows keyed by their largest id.  A view (a restriction or the boundary
@@ -23,8 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations
 from math import gcd
+from operator import itemgetter
 
 from .associahedron import LabeledComplex
 
@@ -107,8 +111,8 @@ class ChainComplex:
     coefficient (-1)^i, or ``signs[g][i]`` when g has explicit signs,
     which must be ±1, one per entry (ValueError otherwise).  The identity
     boundary-of-boundary = 0 is verified once, over the integers, at
-    construction, which implies it in every field; each rank takes its
-    field as an argument.
+    construction, which implies it in every field (RuntimeError names the
+    first cell where it fails); each rank takes its field as an argument.
     """
 
     def __init__(
@@ -165,14 +169,65 @@ class ChainComplex:
         return rank_int([dict(zip(table[g], signs.get(g, alternating))) for g in ids])
 
     def _verify_dd_zero(self) -> None:
-        table, signs, alternating = self.table, self.signs, self._alternating
+        """Raise RuntimeError at the first cell whose boundary of boundary is nonzero.
+
+        An unsigned row whose entries pair up (``_pairs_up``) passes as it
+        stands; a signed row, and any row that does not pair up, is summed
+        over the integers by ``_boundary_of_boundary``.
+        """
+        table, signs = self.table, self.signs
         for g, row in enumerate(table):
-            acc: dict[int, int] = {}
-            for lo, c in zip(row, signs.get(g, alternating)):
-                for lo2, c2 in zip(table[lo], signs.get(lo, alternating)):
-                    acc[lo2] = acc.get(lo2, 0) + c * c2
-            if any(acc.values()):
-                raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
+            if g in signs or not _pairs_up(table, signs, row):
+                if any(self._boundary_of_boundary(g).values()):
+                    raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
+
+    def _boundary_of_boundary(self, g: int) -> dict[int, int]:
+        """The boundary of the boundary of cell g over the integers, as ``{id: coefficient}``."""
+        table, signs, alternating = self.table, self.signs, self._alternating
+        acc: dict[int, int] = {}
+        for lo, c in zip(table[g], signs.get(g, alternating)):
+            for lo2, c2 in zip(table[lo], signs.get(lo, alternating)):
+                acc[lo2] = acc.get(lo2, 0) + c * c2
+        return acc
+
+
+def _pairs_up(
+    table: Sequence[Sequence[int]], signs: dict[int, Sequence[int]], row: Sequence[int]
+) -> bool:
+    """Whether dd = 0 on an unsigned row follows from the ids in the table alone.
+
+    With k = len(row) and the cells of the row unsigned, each with a row of
+    k - 1 entries, the terms of dd pair up when ``table[row[j]][i] ==
+    table[row[i]][j - 1]`` for every i < j: the pair's signs are
+    (-1)^(i + j) and (-1)^(i + j - 1), so it cancels.  A simplicial face's
+    row, which drops its i-th vertex or diagonal at index i, pairs up.
+    False when an index is out of range.
+    """
+    try:
+        lower = [table[lo] for lo in row]
+    except IndexError:
+        return False
+    k = len(row)
+    if {*map(len, lower)} - {k - 1} or not signs.keys().isdisjoint(row):
+        return False
+    pairing = _pairing(k)
+    if pairing is None:
+        return True
+    flat = tuple(chain.from_iterable(lower))
+    return pairing[0](flat) == pairing[1](flat)
+
+
+@cache
+def _pairing(k: int) -> tuple[itemgetter, itemgetter] | None:
+    """Getters of the two terms of each pair of ``_pairs_up`` for a row of k entries.
+
+    The row's k lower rows of k - 1 entries are read as one flat tuple,
+    where ``table[row[j]][i]`` sits at j * (k - 1) + i.  None below k = 2,
+    where no terms pair.
+    """
+    first = [j * (k - 1) + i for j in range(1, k) for i in range(j)]
+    second = [i * (k - 1) + j - 1 for j in range(1, k) for i in range(j)]
+    return (itemgetter(*first), itemgetter(*second)) if first else None
 
 
 def _interior_signs(rows: list[list[int]]) -> list[int]:

@@ -22,18 +22,24 @@ from .polygon import Diagonal, SupportClass, count_by_class, vertices
 class MorseMatching:
     """A set of matched cover pairs (lower face id, upper face id).
 
-    Keeps the pair tuples it is given, without repeats and sorted; a face
-    id that is not an int raises TypeError.
+    Keeps the pair tuples it is given, sorted, and of equal pairs the
+    first; a pair that is not a tuple, or a face id that is not an int,
+    raises TypeError.
     """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted(set(self.pairs)))
-        for lo, hi in pairs:
+        pairs = sorted(self.pairs)  # stable, so each run of equal pairs starts with the first
+        for pair in pairs:
+            if not isinstance(pair, tuple):
+                raise TypeError(f"pair {pair!r} is not a tuple")
+            lo, hi = pair
             if type(lo) is not int or type(hi) is not int:
-                raise TypeError(f"pair {(lo, hi)!r} holds a face id that is not an int")
-        object.__setattr__(self, "pairs", pairs)
+                raise TypeError(f"pair {pair!r} holds a face id that is not an int")
+        object.__setattr__(
+            self, "pairs", tuple(p for i, p in enumerate(pairs) if not i or p != pairs[i - 1])
+        )
 
     @property
     def matched_ids(self) -> frozenset[int]:
@@ -122,14 +128,52 @@ def _find_cycle(
     return None
 
 
-def _pair_successors(match_at_lower: dict[int, int], below: list[list[int]]):
-    """Pair-graph step: up through a lower face's match, down to another matched lower."""
+def _pair_successors(
+    match_at_lower: list[int | None], below: list[tuple[int, ...]], labels: list[int] | None = None
+):
+    """Pair-graph step: up through a lower face's match, down to another matched lower.
 
-    def step(lower: int):
-        upper = match_at_lower[lower]
-        return (b for b in below[upper] if b != lower and b in match_at_lower)
+    ``match_at_lower[g]`` is the upper face matched to g, None when g is
+    no matched lower face.  With ``labels``, the step down follows only
+    the faces with the upper face's label: a face's facets carry labels
+    inside its own, so along a path of label-preserving pairs the labels
+    never grow, and a path that leaves a label never returns to it.
+    """
+    if labels is None:
+
+        def step(lower: int):
+            upper = match_at_lower[lower]
+            return (b for b in below[upper] if b != lower and match_at_lower[b] is not None)
+
+    else:
+
+        def step(lower: int):
+            upper = match_at_lower[lower]
+            label = labels[upper]
+            return (
+                b
+                for b in below[upper]
+                if b != lower and labels[b] == label and match_at_lower[b] is not None
+            )
 
     return step
+
+
+def _repeats(pairs: Iterable[tuple[int, int]], size: int) -> bool:
+    """Whether some face id lies in two of the pairs; ids 0..size - 1 are marked in a bytearray."""
+    seen = bytearray(size)
+    foreign: set[int] = set()
+    for pair in pairs:
+        for fid in pair:
+            if 0 <= fid < size:
+                if seen[fid]:
+                    return True
+                seen[fid] = 1
+            elif fid in foreign:
+                return True
+            else:
+                foreign.add(fid)
+    return False
 
 
 def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -> MatchingReport:
@@ -138,28 +182,29 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     With full_graph=True the acyclicity verdict is re-derived from the whole
     oriented Hasse diagram of X instead of just the matched-pair graph.  A
     pair whose upper id X does not keep is reported as not a cover; the
-    label and acyclicity checks see only the pairs that are covers.
+    label and acyclicity checks see only the pairs that are covers, and the
+    single-use check sees every pair.
     """
     problems = []
     labels, below = X.labels, X.covers_below()
-    match_at_lower: dict[int, int] = {}
+    match_at_lower: list[int | None] = [None] * len(labels)
+    lowers = []  # ascending, as m.pairs is sorted
     for lo, hi in m.pairs:
         if not (hi in X and lo in below[hi]):
             problems.append(f"pair ({lo},{hi}) is not a cover relation")
             continue
         match_at_lower[lo] = hi
+        lowers.append(lo)
         if labels[lo] != labels[hi]:
             problems.append(
                 f"pair ({lo},{hi}) joins labels {vertices(labels[lo])} != {vertices(labels[hi])}"
             )
-    if len(m.matched_ids) != 2 * len(m.pairs):  # some face lies in two pairs
+    if _repeats(m.pairs, len(labels)):
         use = Counter(fid for pair in m.pairs for fid in pair)
         for fid, k in sorted(use.items()):
             if k > 1:
                 problems.append(f"face {fid} appears in {k} pairs")
-    step = _pair_successors(match_at_lower, below)
-    # its keys ascend: they come from m.pairs, which is sorted
-    cycle = _find_cycle(match_at_lower, step)
+    cycle = _find_cycle(lowers, _pair_successors(match_at_lower, below))
     if cycle is not None:
         problems.append("directed cycle through lower faces " + "->".join(map(str, cycle)))
     if full_graph:
@@ -178,9 +223,21 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
 
 
 def critical_cells(m: MorseMatching, X: LabeledComplex) -> dict[int, int]:
-    """Unmatched face counts per dimension, the empty face (dim -1) included."""
-    matched = m.matched_ids
-    return {d: sum(g not in matched for g in X.kept.get(d, ())) for d in range(-1, X.dim + 1)}
+    """Unmatched face counts per dimension, the empty face (dim -1) included.
+
+    Matched faces are marked in a bytearray indexed by face id.
+    """
+    size = len(X.labels)
+    matched = bytearray(size)
+    for pair in m.pairs:
+        for fid in pair:
+            if 0 <= fid < size:
+                matched[fid] = 1
+    counts = {}
+    for d in range(-1, X.dim + 1):
+        ids = X.kept.get(d, ())
+        counts[d] = len(ids) - sum(map(matched.__getitem__, ids))
+    return counts
 
 
 def _exact(num: int, den: int) -> int:
@@ -229,20 +286,36 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     The candidates are ``X.equal_label_covers()``, in its sorted order.
     One pass suffices: matched faces never free up, and a rejected pair's
     cycle only gains edges later, so no skipped candidate becomes addable.
-    m must be acyclic (d2_matching(X) and the empty matching are): then any
-    cycle a new pair closes passes through its lower face, so the cycle
-    search after each addition starts from that face alone.
+    m must be an acyclic matching of X whose pairs keep their labels
+    (d2_matching(X) and the empty matching are); a pair that joins two
+    labels, or holds an id outside X's face list, raises ValueError.  Then
+    any cycle a new pair closes passes through its lower face and keeps
+    that face's label throughout, so the cycle search after each addition
+    starts from that face alone and follows only faces with its label.
+    The matched faces are held in per-id arrays, freed before the result
+    is made.
     """
-    match_at_lower = dict(m.pairs)
-    step = _pair_successors(match_at_lower, X.covers_below())
-    # a face is matched when it is a key of match_at_lower or one of these
-    uppers = {hi for _, hi in m.pairs}
+    labels, below = X.labels, X.covers_below()
+    size = len(labels)
+    match_at_lower: list[int | None] = [None] * size
+    matched = bytearray(size)
+    for lo, hi in m.pairs:
+        if not (0 <= lo < size and 0 <= hi < size and labels[lo] == labels[hi]):
+            raise ValueError(
+                f"pair ({lo},{hi}) does not keep a label of X: greedy_extend"
+                " needs a label-preserving matching"
+            )
+        match_at_lower[lo] = hi
+        matched[lo] = matched[hi] = 1
+    step = _pair_successors(match_at_lower, below, labels)
     for lo, hi in X.equal_label_covers():
-        if lo in match_at_lower or lo in uppers or hi in match_at_lower or hi in uppers:
+        if matched[lo] or matched[hi]:
             continue
         match_at_lower[lo] = hi
-        if _find_cycle([lo], step) is not None:
-            del match_at_lower[lo]
+        if _find_cycle((lo,), step) is not None:
+            match_at_lower[lo] = None
             continue
-        uppers.add(hi)
-    return MorseMatching(match_at_lower.items())
+        matched[lo] = matched[hi] = 1
+    pairs = [(lo, hi) for lo, hi in enumerate(match_at_lower) if hi is not None]
+    del match_at_lower, matched, step
+    return MorseMatching(pairs)

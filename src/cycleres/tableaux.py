@@ -86,6 +86,13 @@ class Tableau:
                 j = list(map(ge, above, row)).index(True)
                 raise ValueError(f"column {j} is not strictly increasing")
 
+    @classmethod
+    def _standard(cls, rows: tuple[tuple[int, ...], ...]) -> Tableau:
+        """The tableau of row tuples already known to be standard, made without the check."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     @property
     def shape(self) -> Shape:
         return tuple(len(r) for r in self.rows)
@@ -107,7 +114,8 @@ def enumerate_syt(shape: Iterable[int]) -> list[Tableau]:
     Entries 1..N are placed in increasing order into a tuple of row
     tuples; a cell is available when it is the first free slot of its row
     and the cell above is filled.  The finished fillings are sorted as
-    tuples and each becomes a ``Tableau`` once.  Shapes with more than
+    tuples and each becomes a ``Tableau`` once, unchecked, since the
+    placement rule makes every filling standard.  Shapes with more than
     DEFAULT_CELL_CAP cells are refused (the count grows like a factorial;
     use hook_count for counting).
     """
@@ -129,7 +137,7 @@ def enumerate_syt(shape: Iterable[int]) -> list[Tableau]:
 
     place(((),) * len(s), 1)
     out.sort()
-    return [Tableau(rows) for rows in out]
+    return [Tableau._standard(rows) for rows in out]
 
 
 def associahedron_shape(n: int, d: int) -> Shape:

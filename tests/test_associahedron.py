@@ -1,4 +1,5 @@
 import gc
+import random
 import re
 import tracemalloc
 import weakref
@@ -73,7 +74,7 @@ def test_cover_counts():
     below = X.covers_below()
     # every vertex covers exactly the empty face
     for v in X.kept[0]:
-        assert below[v] == [0]
+        assert below[v] == (0,)
     # the interior cell covers all 14 triangulations
     assert [X.faces[g] for g in sorted(below[-1])] == X.faces_of_dim(X.n - 4)
     # a k-diagonal face covers exactly k subfaces
@@ -257,6 +258,42 @@ def test_face_id_rejects_what_is_not_a_dissection_in_order():
         assert X.face_id(pairs) is None, pairs
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_face_id_matches_a_dict_oracle(n):
+    X = build(n)
+    diagonals = all_diagonals(n)
+    oracle = {X.dissections[g]: g for g in X.ids() if X.dissections[g] is not None}
+    for mask, g in oracle.items():
+        assert X.face_id([d for j, d in enumerate(diagonals) if mask >> j & 1]) == g
+    # non-faces: crossing pairs, sets of n - 2 diagonals, random sets, and
+    # every face's diagonals reversed
+    rng = random.Random(n)
+    sets = [list(p) for p in combinations(diagonals, 2) if crosses(*p)]
+    sets += [rng.sample(diagonals, n - 2) for _ in range(50)]
+    sets += [rng.sample(diagonals, rng.randrange(1, len(diagonals) + 1)) for _ in range(200)]
+    for ds in sets:
+        ds.sort()
+        mask = sum(1 << diagonals.index(d) for d in ds)
+        assert X.face_id(ds) == oracle.get(mask), ds
+    for mask in oracle:
+        ds = [d for j, d in enumerate(diagonals) if mask >> j & 1]
+        assert X.face_id(ds[::-1]) == (oracle[mask] if len(ds) < 2 else None)
+    # a view answers for its kept faces only
+    for Y in (boundary_complex(X), *(restrict(X, rng.randrange(1 << n)) for _ in range(8))):
+        for mask, g in oracle.items():
+            ds = [d for j, d in enumerate(diagonals) if mask >> j & 1]
+            assert Y.face_id(ds) == (g if g in Y else None)
+
+
+def test_a_face_list_keeps_no_dict_keyed_by_dissection():
+    X = build(7)
+    restrict(X, 0b1011011)
+    # the label index is keyed by label, the blocks by dimension, _bits by diagonal
+    assert {k for k, v in vars(X).items() if isinstance(v, dict)} == {"kept", "_bits", "_labels"}
+    assert "_index" not in vars(X)
+    assert all(type(row) is tuple for row in X.covers_below())
+
+
 def test_a_complex_is_freed_by_reference_counting():
     gc.disable()
     try:
@@ -328,7 +365,7 @@ def test_restrictions_hold_their_parents_faces(n):
     for R in _complexes(n):
         if R.parent is None:
             continue
-        # a view shares its face list's faces, facet table and lookup
+        # a view shares its face list's faces and facet table
         assert R.parent.parent is None
         assert R.faces is R.parent.faces
         assert R.covers_below() is R.parent.covers_below()
@@ -399,7 +436,7 @@ def test_restriction_derives_faces_when_read():
     assert R.kept == {d: ids for d, ids in kept.items() if ids}
     # a view owns its kept ids and nothing its face list derives
     assert not {"_labels", "_chains", "covers"} & set(vars(R))
-    assert R.faces is X.faces and R._index is X._index
+    assert R.faces is X.faces and R._bits is X._bits
     assert R.dissections is X.dissections and R.labels is X.labels
     f_vector = [len(ids) for ids in R.kept.values()]
     assert (len(R), R.f_vector(), R.dim) == (sum(f_vector), f_vector, len(f_vector) - 2)

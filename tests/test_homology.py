@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cycleres.associahedron import LabeledComplex, boundary_complex, build, rest
 from cycleres.homology import (
     ChainComplex,
     Field,
+    _pairs_up,
     chain_complex,
     is_acyclic,
     rank_gf2,
@@ -187,7 +189,7 @@ def test_boundary_columns_match_the_facet_table(n, signed_boundary):
     # the interior covers every triangulation once; its signs are checked
     # by test_interior_column_signs_cancel_over_rationals and dd = 0
     [interior] = cc.bases[n - 3]
-    assert cc.table[interior] == list(cc.bases[n - 4])
+    assert cc.table[interior] == tuple(cc.bases[n - 4])
 
 
 def test_chain_complex_reads_the_facet_table_in_place():
@@ -314,6 +316,63 @@ def test_boundary_squared_zero_is_checked():
     # over the integers, so no field may use it
     with pytest.raises(RuntimeError):
         ChainComplex(_SEGMENT, _SEGMENT_TABLE, {3: [1, 1]})
+    # an unsigned row over a signed cell is summed, not paired by ids
+    with pytest.raises(RuntimeError, match="cell 3 is nonzero"):
+        ChainComplex(_SEGMENT, _SEGMENT_TABLE, {1: [-1]})
+
+
+def _first_nonzero_dd(table, signs):
+    """The first cell whose boundary of boundary, summed over the integers, is nonzero."""
+    for g, row in enumerate(table):
+        acc = Counter()
+        for lo, c in zip(row, signs.get(g) or [(-1) ** i for i in range(len(row))]):
+            lower = table[lo]
+            for lo2, c2 in zip(lower, signs.get(lo) or [(-1) ** i for i in range(len(lower))]):
+                acc[lo2] += c * c2
+        if any(acc.values()):
+            return g
+    return None
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_dd_pairing_passes_what_the_integer_sum_passes(n):
+    cc = chain_complex(build(n))
+    assert _first_nonzero_dd(cc.table, cc.signs) is None
+    # every row but the signed interior cell's passes by pairing alone
+    assert list(cc.signs) == [len(cc.table) - 1]
+    assert all(_pairs_up(cc.table, cc.signs, row) for row in cc.table[:-1])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dd_check_agrees_with_the_integer_sum_on_broken_tables(seed):
+    X = build(6)
+    cc = chain_complex(X)
+    rng = random.Random(seed)
+    table = [list(row) for row in cc.table]
+    for _ in range(rng.randrange(1, 4)):
+        g = rng.randrange(1, len(table) - 1)
+        row = table[g]
+        if len(row) > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(len(row)), 2)
+            row[i], row[j] = row[j], row[i]
+        else:
+            # another cell of the same dimension as the entry it replaces
+            i = rng.randrange(len(row))
+            dim = next(d for d, ids in X.kept.items() if row[i] in ids)
+            row[i] = rng.choice(X.kept[dim])
+    first = _first_nonzero_dd(table, cc.signs)
+    if first is None:
+        ChainComplex(X.kept, table, cc.signs)
+    else:
+        with pytest.raises(RuntimeError, match=f"cell {first} is nonzero"):
+            ChainComplex(X.kept, table, cc.signs)
+
+
+def test_dd_check_reads_an_id_out_of_range_as_before():
+    table = [list(row) for row in _SEGMENT_TABLE]
+    table[3] = [1, 4]
+    with pytest.raises(IndexError):
+        ChainComplex(_SEGMENT, table)
 
 
 @pytest.mark.parametrize(

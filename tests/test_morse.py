@@ -7,6 +7,7 @@ from cycleres.morse import (
     count_formulas,
     critical_cells,
     d2_matching,
+    _find_cycle,
     greedy_extend,
     n7_extension_counts,
     validate,
@@ -164,6 +165,21 @@ def test_validate_reports_each_repeated_face_once_in_id_order():
         *expected, "oriented Hasse cycle 1->14->32->10->1"
     )
 
+def test_validate_reports_a_face_repeated_through_a_non_cover_pair():
+    X = build(6)
+    lo = X.face_id([(1, 3), (4, 6)])
+    hi = X.face_id([(1, 3), (3, 6), (4, 6)])
+    top = len(X) - 1
+    m = MorseMatching(((lo, hi), (lo, top), (3, -1), (4, -1)))
+    assert validate(m, X).problems == (
+        "pair (3,-1) is not a cover relation",
+        "pair (4,-1) is not a cover relation",
+        f"pair ({lo},{top}) is not a cover relation",
+        "face -1 appears in 2 pairs",
+        f"face {lo} appears in 2 pairs",
+    )
+
+
 def test_validate_rejects_directed_cycle():
     # three vertex-edge pairs arranged in a ring; labels are wrong too,
     # but both cycle detectors must fire
@@ -191,6 +207,16 @@ def test_critical_edges_match_beta2():
         crit = critical_cells(d2_matching(X), X)
         assert crit[1] == betti_closed_form(n, 2)
         assert crit[0] == n * (n - 3) // 2  # vertices are never matched
+
+
+def test_critical_cells_skip_ids_outside_the_face_list():
+    X = build(6)
+    # -1 must not mark the interior cell, nor len(X) anything
+    m = MorseMatching(((0, len(X)), (3, -1)))
+    counts = {d: len(X.kept[d]) for d in range(-1, X.dim + 1)}
+    counts[-1] -= 1
+    counts[0] -= 1
+    assert critical_cells(m, X) == counts
 
 
 def test_count_formulas_frozen():
@@ -249,6 +275,56 @@ def test_greedy_extend_reaches_betti_vector():
         assert report.ok, report.problems
         beta = [1] + [betti_closed_form(n, d) for d in range(1, n - 2)] + [1]
         assert list(critical_cells(extended, X).values()) == beta
+
+
+def _greedy_extend_unfiltered(m, X):
+    """greedy_extend with a cycle search that follows every matched lower face."""
+    below = X.covers_below()
+    match_at_lower = dict(m.pairs)
+    uppers = {hi for _, hi in m.pairs}
+
+    def step(lower):
+        upper = match_at_lower[lower]
+        return (b for b in below[upper] if b != lower and b in match_at_lower)
+
+    for lo, hi in X.equal_label_covers():
+        if lo in match_at_lower or lo in uppers or hi in match_at_lower or hi in uppers:
+            continue
+        match_at_lower[lo] = hi
+        if _find_cycle([lo], step) is not None:
+            del match_at_lower[lo]
+        else:
+            uppers.add(hi)
+    return MorseMatching(tuple(match_at_lower.items()))
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_greedy_extend_matches_the_unfiltered_search(n):
+    X = build(n)
+    for m in (d2_matching(X), MorseMatching(())):
+        assert greedy_extend(m, X) == _greedy_extend_unfiltered(m, X)
+    if n <= 8:
+        B = boundary_complex(X)
+        assert greedy_extend(d2_matching(B), B) == _greedy_extend_unfiltered(d2_matching(B), B)
+
+
+def test_greedy_extend_rejects_a_matching_that_changes_a_label():
+    X = build(6)
+    lo = X.face_id([(1, 3)])
+    hi = X.face_id([(1, 3), (1, 4)])
+    with pytest.raises(ValueError, match=rf"pair \({lo},{hi}\) does not keep a label"):
+        greedy_extend(MorseMatching(((lo, hi),)), X)
+    # an id outside the face list has no label to keep; -1 is not the interior cell
+    for pair in ((len(X) - 2, len(X)), (len(X) - 2, -1)):
+        with pytest.raises(ValueError, match="label-preserving"):
+            greedy_extend(MorseMatching((pair,)), X)
+
+
+def test_matching_keeps_the_first_of_equal_pairs():
+    p, q = (1, 3), (1, 3)
+    assert MorseMatching(((5, 9), p, q)).pairs[0] is p
+    with pytest.raises(TypeError):
+        MorseMatching(([1, 3],))
 
 
 def test_matching_normalization_and_json():

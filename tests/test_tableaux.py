@@ -100,6 +100,21 @@ def test_enumerate_matches_the_permutation_oracle(size):
         assert [t.rows for t in enumerate_syt(shape)] == sorted(oracle), shape
 
 
+@pytest.mark.parametrize("size", range(1, 9))
+def test_enumerated_tableaux_pass_the_full_check(size):
+    # enumerate_syt makes its tableaux unchecked; the constructor's check accepts each
+    shapes = [
+        p
+        for k in range(1, size + 1)
+        for p in combinations_with_replacement(range(size, 0, -1), k)
+        if sum(p) == size
+    ]
+    for shape in shapes:
+        for t in enumerate_syt(shape):
+            assert type(t) is Tableau and Tableau(t.rows) == t
+            assert {*map(type, t.rows)} == {tuple}
+
+
 def test_enumerate_matches_hook_count_small_shapes():
     shapes = [(1,), (3,), (2, 1), (2, 2), (3, 2, 1), (4, 4), (3, 3, 2), (2, 2, 2, 2), (7, 7)]
     for shape in shapes:
