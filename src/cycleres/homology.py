@@ -10,9 +10,9 @@ face is its id, its position in the face list, and that id is its row:
 row g lists the ids of the cells that cell g covers, and its i-th entry has
 coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n only
 the interior cell has).  For A_n the table is ``covers_below()`` itself,
-not a copy; dd = 0 is checked once over the integers, by pairing the
-ids of an unsigned row's terms where they pair up and by summing
-elsewhere.  Each rank builds
+not a copy; dd = 0 is checked once over the integers: an unsigned row
+whose terms cancel in pairs by id passes as it stands, and every other
+row is summed.  Each rank builds
 the rows it needs for the field asked for, as id sets for GF(2) and
 ``{id: ±1}`` dicts for the rationals, and reduces them against pivot
 rows keyed by their largest id.  A view (a restriction or the boundary
@@ -230,7 +230,7 @@ def _pairing(k: int) -> tuple[itemgetter, itemgetter] | None:
     return (itemgetter(*first), itemgetter(*second)) if first else None
 
 
-def _interior_signs(rows: list[list[int]]) -> list[int]:
+def _interior_signs(rows: list[Sequence[int]]) -> list[int]:
     """Coherent signs of the interior cell's boundary over the facets.
 
     ``rows`` are the triangulations' rows of the facet table, in the
