@@ -13,9 +13,10 @@ A dissection has one form, its diagonal bitmask (bit j for
 as two columns of ints and makes a ``Face`` only when one is read.
 A face is its position: its id is its index in the face list that holds
 it, and every id the module hands out (``kept``, the facet table, the
-label index, ``face_id``) is such an index.  No dict keyed by dissection
-outlives the constructor: ``face_id`` bisects the face's dimension
-block, which is sorted lexicographically by diagonal.  A restriction and
+label index, ``face_id``) is such an index.  Nothing is keyed by
+dissection: the constructor reads each facet's id off the canonical
+order, and ``face_id`` bisects the face's dimension block, which is
+sorted lexicographically by diagonal.  A restriction and
 the boundary sphere are views of the face list, so a face has one id in
 every complex that holds it.
 """
@@ -136,6 +137,124 @@ def _dimension_blocks(
     return {d: range(a, b) for d, a, b in zip(starts, bounds, bounds[1:])}
 
 
+def _in_block(
+    dissections: Sequence[int | None], block: Sequence[int], mask: int, diagonals: list[Diagonal]
+) -> int | None:
+    """The id in ``block`` of the face with dissection ``mask``, or None if it has none.
+
+    ``block`` is a dimension block in canonical order, lexicographic by
+    diagonal, so the id is found by bisecting it.
+    """
+    i = bisect_left(
+        block, dissection(mask, diagonals), key=lambda g: dissection(dissections[g], diagonals)
+    )
+    return block[i] if i < len(block) and dissections[block[i]] == mask else None
+
+
+def _subface_error(
+    n: int, diagonals: list[Diagonal], dissections: list[int | None], lower: range, mask: int
+) -> ValueError:
+    """The error for face ``mask``: its first subface missing from ``lower``, else its crossing.
+
+    The subfaces are tried dropping the face's diagonals in order.
+    """
+    face = _face(n, diagonals, mask, 0)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if _in_block(dissections, lower, mask ^ low, diagonals) is None:
+            return ValueError(f"face {face} lacks its subface {_face(n, diagonals, mask ^ low, 0)}")
+        rest ^= low
+    return ValueError(f"face {face} has crossing diagonals")
+
+
+def _facet_rows(
+    n: int, diagonals: list[Diagonal], dissections: list[int | None], kept: dict[int, range]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The facet table and the labels of a face list in canonical order, read block by block.
+
+    A face M is its parent P, M without its last diagonal t, plus t.
+    Canonical order groups a block by parent, in the order of the block
+    below, and each group by t: one forward merge into the block below
+    finds every parent, and the children of a face make one run of the
+    block above, ordered by last diagonal.  Row M holds M minus each of
+    its diagonals in order, so P last.  Each other entry, M minus a
+    diagonal a of P, is (P - a) + t: the child with last diagonal t of
+    Q = P - a, an entry of P's row.  For the faces Q of the block two
+    below, ``first`` holds the position of Q's first child in the block
+    below and ``kids`` the bits t of its children's last diagonals, so
+    that child is at ``first`` plus the bits of ``kids`` below t, and it
+    is missing when bit t is clear.  Only the two blocks being read keep
+    those arrays.  M's label is P's plus t's endpoints.
+
+    Raises ValueError at the first face that lacks a subface, crosses
+    itself (two diagonals) or, for the interior cell, lacks a triangulation.
+    """
+    ends = [support([d]) for d in diagonals]
+    # one int per vertex set, shared by every face with that label
+    vertex_sets = list(range(1 << n))
+    below: list[tuple[int, ...]] = []
+    labels: list[int] = []
+    first: list[int] = []  # of the block two below
+    kids: list[int] = []
+    base = 0  # the first id of the block two below
+    for dim, block in kept.items():
+        if dissections[block.start] is None:  # the interior cell, last
+            row = tuple(kept.get(n - 4, ()))
+            if len(row) != (want := f_formula(n, n - 3)):
+                raise ValueError(
+                    f"the interior cell needs all {want} triangulations, found {len(row)}"
+                )
+            below.append(row)
+            labels.append(vertex_sets[-1])
+            continue
+        if dim == -1:  # the empty face
+            below.append(())
+            labels.append(0)
+            continue
+        lower = kept.get(dim - 1, range(0))
+        # the ids of the block below, one int each, shared by the rows
+        lower_ids = list(lower)
+        first_below = [0] * len(lower)
+        kids_below = [0] * len(lower)
+        at, parent, grown = -1, None, 0
+        for g in block:
+            mask = dissections[g]
+            t = mask.bit_length() - 1
+            bit = 1 << t
+            if mask ^ bit != parent:
+                if grown:
+                    kids_below[at] = grown
+                parent, grown = mask ^ bit, 0
+                at += 1
+                while at < len(lower) and dissections[lower[at]] != parent:
+                    at += 1
+                if at == len(lower):
+                    raise _subface_error(n, diagonals, dissections, lower, mask)
+                first_below[at] = g - block.start
+                p = lower_ids[at]
+                row_p, label_p = below[p], labels[p]
+            grown |= bit
+            low = bit - 1
+            row = []
+            for q in row_p:
+                j = q - base
+                k = kids[j]
+                if not k & bit:
+                    raise _subface_error(n, diagonals, dissections, lower, mask)
+                row.append(lower_ids[first[j] + (k & low).bit_count()])
+            row.append(p)
+            # a larger set with a crossing pair lacks that pair or failed on it
+            if dim == 1 and crosses(diagonals[parent.bit_length() - 1], diagonals[t]):
+                raise _subface_error(n, diagonals, dissections, lower, mask)
+            below.append(tuple(row))
+            labels.append(vertex_sets[label_p | ends[t]])
+        if grown:
+            kids_below[at] = grown
+        first, kids, base = first_below, kids_below, lower.start
+    return below, labels
+
+
 class LabeledComplex:
     """A face list, or a view of one, immutable after construction.
 
@@ -180,43 +299,9 @@ class LabeledComplex:
         self.kept = _dimension_blocks(n, diagonals, dissections)
         self.n = n
         self.dissections = dissections
-        # a local, freed on return: face_id bisects a dimension block instead
-        index = dict(zip(dissections, range(len(dissections))))
         self._bits = {d: j for j, d in enumerate(diagonals)}
-        ends = [support([d]) for d in diagonals]
-        # one int per vertex set, shared by every face with that label
-        vertex_sets = list(range(1 << n))
-        labels: list[int] = []
-        below: list[tuple[int, ...]] = []
-        for mask in dissections:
-            if mask is None:
-                row = tuple(self.kept.get(n - 4, ()))
-                if len(row) != (want := f_formula(n, n - 3)):
-                    raise ValueError(
-                        f"the interior cell needs all {want} triangulations, found {len(row)}"
-                    )
-                below.append(row)
-                labels.append(vertex_sets[-1])
-                continue
-            row = []
-            rest = mask
-            while rest:
-                low = rest & -rest
-                lo = index.get(mask ^ low)
-                if lo is None:
-                    sub = _face(n, diagonals, mask ^ low, 0)
-                    raise ValueError(f"face {_face(n, diagonals, mask, 0)} lacks its subface {sub}")
-                row.append(lo)
-                rest ^= low
-            # a larger set with a crossing pair lacks that pair or failed on it
-            if len(row) == 2 and crosses(*dissection(mask, diagonals)):
-                raise ValueError(f"face {_face(n, diagonals, mask, 0)} has crossing diagonals")
-            # low is the last diagonal, and row[-1] the facet without it
-            labels.append(vertex_sets[labels[row[-1]] | ends[low.bit_length() - 1]] if row else 0)
-            below.append(tuple(row))
-        self.labels = labels
-        self._below = below
-        self.faces = _Faces(n, diagonals, dissections, labels)
+        self._below, self.labels = _facet_rows(n, diagonals, dissections, self.kept)
+        self.faces = _Faces(n, diagonals, dissections, self.labels)
 
     def _view(self, kept: dict[int, Sequence[int]]) -> LabeledComplex:
         """The complex of the ids ``kept`` of this complex's face list, sharing it."""
@@ -246,6 +331,8 @@ class LabeledComplex:
         """Whether the complex keeps the face with id fid."""
         if not 0 <= fid < len(self.dissections):
             return False
+        if self.parent is None:  # a face list keeps every face it holds
+            return True
         mask = self.dissections[fid]
         ids = self.kept.get(self.n - 3 if mask is None else mask.bit_count() - 1, ())
         if isinstance(ids, range):  # a face list's block: bisecting a range is slow
@@ -287,13 +374,8 @@ class LabeledComplex:
         if dim >= self.n - 3:  # only the interior cell is that large
             return None
         block = (self if self.parent is None else self.parent).kept.get(dim, ())
-        dissections, every = self.dissections, self.faces.diagonals
-        i = bisect_left(
-            block, dissection(mask, every), key=lambda g: dissection(dissections[g], every)
-        )
-        if i == len(block) or dissections[block[i]] != mask:
-            return None
-        return block[i] if block[i] in self else None
+        g = _in_block(self.dissections, block, mask, self.faces.diagonals)
+        return g if g is not None and g in self else None
 
     def faces_of_dim(self, dim: int) -> list[Face]:
         """The faces of dimension dim, in id order."""

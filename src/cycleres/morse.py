@@ -9,7 +9,7 @@ faces are the critical cells.  On a view of A_n, faces keep their ids in A_n.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
@@ -97,35 +97,49 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
 
 
 def _find_cycle(
-    roots: Iterable[int], successors: Callable[[int], Iterable[int]]
+    roots: Iterable[int],
+    successors: Callable[[int], Iterable[int]],
+    color: bytearray | None = None,
 ) -> list[int] | None:
     """A directed cycle reachable from roots, as a closed path of vertices, or None.
 
-    Iterative three-colour DFS.  Vertices are coloured only when reached, so
-    a search costs what it explores, not the size of the whole graph.
+    Iterative three-colour DFS.  ``color`` holds the colours by vertex id,
+    0 for a vertex not yet reached: a bytearray indexed by face id, all
+    zero, that the search leaves all zero again, so one array serves many
+    searches (without one, a dict holds them).  Vertices are coloured only
+    when reached, so a search costs what it explores, not the size of the
+    whole graph.
     """
     GRAY, BLACK = 1, 2
-    color: dict[int, int] = {}
-    for root in roots:
-        if root in color:
-            continue
-        color[root] = GRAY
-        path = [root]
-        iters = [iter(successors(root))]
-        while iters:
-            for b in iters[-1]:
-                c = color.get(b)
-                if c == GRAY:
-                    return path[path.index(b):] + [b]
-                if c is None:
-                    color[b] = GRAY
-                    path.append(b)
-                    iters.append(iter(successors(b)))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                iters.pop()
-    return None
+    if color is None:
+        color = defaultdict(int)
+    reached: list[int] = []
+    try:
+        for root in roots:
+            if color[root]:
+                continue
+            color[root] = GRAY
+            reached.append(root)
+            path = [root]
+            iters = [iter(successors(root))]
+            while iters:
+                for b in iters[-1]:
+                    c = color[b]
+                    if c == GRAY:
+                        return path[path.index(b):] + [b]
+                    if not c:
+                        color[b] = GRAY
+                        reached.append(b)
+                        path.append(b)
+                        iters.append(iter(successors(b)))
+                        break
+                else:
+                    color[path.pop()] = BLACK
+                    iters.pop()
+        return None
+    finally:
+        for v in reached:
+            color[v] = 0
 
 
 def _pair_successors(
@@ -204,7 +218,7 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
         for fid, k in sorted(use.items()):
             if k > 1:
                 problems.append(f"face {fid} appears in {k} pairs")
-    cycle = _find_cycle(lowers, _pair_successors(match_at_lower, below))
+    cycle = _find_cycle(lowers, _pair_successors(match_at_lower, below), bytearray(len(labels)))
     if cycle is not None:
         problems.append("directed cycle through lower faces " + "->".join(map(str, cycle)))
     if full_graph:
@@ -216,7 +230,7 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
                     adj[lo].append(hi)
                 else:
                     adj[hi].append(lo)
-        cycle = _find_cycle(X.ids(), adj.__getitem__)
+        cycle = _find_cycle(X.ids(), adj.__getitem__, bytearray(len(below)))
         if cycle is not None:
             problems.append("oriented Hasse cycle " + "->".join(map(str, cycle)))
     return MatchingReport(not problems, tuple(problems))
@@ -291,31 +305,57 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     labels, or holds an id outside X's face list, raises ValueError.  Then
     any cycle a new pair closes passes through its lower face and keeps
     that face's label throughout, so the cycle search after each addition
-    starts from that face alone and follows only faces with its label.
-    The matched faces are held in per-id arrays, freed before the result
-    is made.
+    starts from that face alone and follows only faces with its label.  It
+    is skipped when no step of the pair graph enters that face (it lies
+    below no other matched upper face with its label) or leaves it (no
+    other matched lower face with that label lies below the new upper
+    face), as a cycle through it needs both.  The matched faces, the faces
+    a step enters and the searches' colours are held in per-id arrays,
+    freed before the result is made.
     """
     labels, below = X.labels, X.covers_below()
     size = len(labels)
     match_at_lower: list[int | None] = [None] * size
     matched = bytearray(size)
+    # entered[g]: g lies below the upper face of a matched pair, with its
+    # label, and is not its lower face, so a step of the pair graph may reach g
+    entered = bytearray(size)
+
+    def match(lo: int, hi: int) -> None:
+        match_at_lower[lo] = hi
+        matched[lo] = matched[hi] = 1
+        label = labels[hi]
+        for b in below[hi]:
+            if b != lo and labels[b] == label:
+                entered[b] = 1
+
     for lo, hi in m.pairs:
         if not (0 <= lo < size and 0 <= hi < size and labels[lo] == labels[hi]):
             raise ValueError(
                 f"pair ({lo},{hi}) does not keep a label of X: greedy_extend"
                 " needs a label-preserving matching"
             )
-        match_at_lower[lo] = hi
-        matched[lo] = matched[hi] = 1
+        match(lo, hi)
     step = _pair_successors(match_at_lower, below, labels)
+    color = bytearray(size)
     for lo, hi in X.equal_label_covers():
         if matched[lo] or matched[hi]:
             continue
-        match_at_lower[lo] = hi
-        if _find_cycle((lo,), step) is not None:
-            match_at_lower[lo] = None
-            continue
-        matched[lo] = matched[hi] = 1
+        if entered[lo]:
+            # a cycle through the new pair also steps from lo to a matched
+            # lower face with its label below hi; with none there is none
+            match_at_lower[lo] = hi
+            label = labels[hi]
+            for b in below[hi]:
+                if b != lo and labels[b] == label and match_at_lower[b] is not None:
+                    cycle = _find_cycle((lo,), step, color)
+                    break
+            else:
+                cycle = None
+            if cycle is not None:
+                match_at_lower[lo] = None
+                continue
+        match(lo, hi)
     pairs = [(lo, hi) for lo, hi in enumerate(match_at_lower) if hi is not None]
-    del match_at_lower, matched, step
+    del match_at_lower, matched, entered, step, color, match
     return MorseMatching(pairs)

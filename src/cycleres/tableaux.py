@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import factorial
-from operator import ge, lt
+from operator import ge, itemgetter, lt
 
 Shape = tuple[int, ...]
 
@@ -56,6 +56,33 @@ def hook_count(shape: Iterable[int]) -> int:
     return q
 
 
+# shape -> _neighbours(shape), a function of the shape alone
+_NEIGHBOURS: dict[Shape, tuple[itemgetter, itemgetter]] = {}
+
+
+def _neighbours(shape: Shape) -> tuple[itemgetter, itemgetter]:
+    """Getters of the smaller and of the larger entry of every two neighbouring cells.
+
+    Both read the row reading word: pairs in rows come first, then pairs
+    in columns.  A filling of the shape increases strictly along rows
+    and columns when every pair increases.  Made once per shape.
+    """
+    getters = _NEIGHBOURS.get(shape)
+    if getters is None:
+        starts = [0, *accumulate(shape)]
+        smaller = [p for a, b in zip(starts, starts[1:]) for p in range(a, b - 1)]
+        larger = [p + 1 for p in smaller]
+        for r in range(1, len(shape)):
+            smaller += range(starts[r - 1], starts[r - 1] + shape[r])
+            larger += range(starts[r], starts[r] + shape[r])
+        if len(smaller) > 1:
+            getters = itemgetter(*smaller), itemgetter(*larger)
+        else:  # one index would get a bare entry; the one pair, if any, is (0, 1)
+            getters = itemgetter(slice(len(smaller))), itemgetter(slice(1, 1 + len(smaller)))
+        _NEIGHBOURS[shape] = getters
+    return getters
+
+
 @dataclass(frozen=True, order=True)
 class Tableau:
     """A standard Young tableau; rows weakly shrink, entries are 1..N.
@@ -71,20 +98,27 @@ class Tableau:
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        _as_shape(map(len, rows))
-        entries = sorted(chain.from_iterable(rows))
+        shape = tuple(map(len, rows))
+        if not shape or min(shape) < 1 or any(map(lt, shape, shape[1:])):
+            _as_shape(shape)  # raises its error for the shape
+        cells = [*chain.from_iterable(rows)]
+        entries = sorted(cells)
         if {*map(type, entries)} != {int}:
             raise TypeError(f"entries must be ints: {rows}")
         if entries != list(range(1, len(entries) + 1)):
             raise ValueError(f"entries must be exactly 1..{len(entries)}")
-        for row in rows:
-            if any(map(ge, row, row[1:])):
-                raise ValueError(f"row {row} is not strictly increasing")
-        # the shape check above makes each row no longer than the one above it
-        for above, row in zip(rows, rows[1:]):
-            if any(map(ge, above, row)):
-                j = list(map(ge, above, row)).index(True)
-                raise ValueError(f"column {j} is not strictly increasing")
+        # every two neighbouring cells in one pass; only a failure looks
+        # for the row, then the column, to name
+        smaller, larger = _neighbours(shape)
+        if not all(map(lt, smaller(cells), larger(cells))):
+            for row in rows:
+                if any(map(ge, row, row[1:])):
+                    raise ValueError(f"row {row} is not strictly increasing")
+            # the shape check above makes each row no longer than the one above it
+            for above, row in zip(rows, rows[1:]):
+                if any(map(ge, above, row)):
+                    j = list(map(ge, above, row)).index(True)
+                    raise ValueError(f"column {j} is not strictly increasing")
 
     @classmethod
     def _standard(cls, rows: tuple[tuple[int, ...], ...]) -> Tableau:
@@ -95,11 +129,11 @@ class Tableau:
 
     @property
     def shape(self) -> Shape:
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -193,12 +227,23 @@ def involution(t: Tableau) -> Tableau:
     and delete the last entry of the second row, which must be n+d-1:
     lands in family (n, d-1)).  Applying the map twice returns the input.
     """
-    n, d = family_params(t.shape)
-    first, second, *column = t.rows
-    outside = [v for v in range(n + 1, n + d) if v not in second]
-    if not outside:
+    rows = t.rows
+    d = len(rows[0]) - 1
+    n = len(rows) + d + 1
+    # a tableau's parts are positive and weakly decreasing, so its shape is
+    # (d+1, d+1, 1, ..., 1) when its third part, if any, is 1
+    if len(rows) < 2 or d < 1 or len(rows[1]) != d + 1 or len(rows) > 2 and len(rows[2]) != 1:
+        n, d = family_params(t.shape)  # raises its error for the shape
+    first, second, *column = rows
+    # row two is increasing, so the entries above n it holds are its tail:
+    # i walks down them from the largest entry, n + d - 1, to the largest
+    # entry above n outside row two, or to n when there is none
+    i, k = n + d - 1, d
+    while i > n and second[k] == i:
+        i -= 1
+        k -= 1
+    if i <= n:
         return t
-    i = max(outside)
     if column and column[-1][0] == i:
         # bottom of the first column: grow both long rows
         result = Tableau((first + (i,), second + (n + d,), *column[:-1]))

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import sys
 import tracemalloc
 import weakref
 from itertools import combinations
@@ -16,7 +17,7 @@ from cycleres.associahedron import (
     restrict,
 )
 from cycleres.homology import Field, chain_complex, is_acyclic
-from cycleres.polygon import Diagonal, all_diagonals, crosses, support, vertices
+from cycleres.polygon import Diagonal, all_diagonals, crosses, dissection, support, vertices
 
 
 def test_f_formula_values():
@@ -218,6 +219,95 @@ def test_face_of_crossing_diagonals_rejected():
     for bad, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             LabeledComplex(6, bad)
+
+
+def _rows_by_dict(n, dissections):
+    """The facet rows and labels by a dissection -> id dict: the oracle for the constructor.
+
+    Each simplicial face looks up its dissection minus each diagonal, in
+    order; the first lookup that fails raises the constructor's message.
+    """
+    diagonals = all_diagonals(n)
+    name = lambda mask: str(Face(0, dissection(mask, diagonals), 0))  # noqa: E731
+    index = dict(zip(dissections, range(len(dissections))))
+    ends = [support([d]) for d in diagonals]
+    below, labels = [], []
+    for mask in dissections:
+        if mask is None:
+            row = tuple(g for g, m in enumerate(dissections) if m and m.bit_count() == n - 3)
+            if len(row) != f_formula(n, n - 3):
+                want = f_formula(n, n - 3)
+                raise ValueError(f"the interior cell needs all {want} triangulations, found {len(row)}")
+            below.append(row)
+            labels.append((1 << n) - 1)
+            continue
+        row, rest = [], mask
+        while rest:
+            low = rest & -rest
+            if mask ^ low not in index:
+                raise ValueError(f"face {name(mask)} lacks its subface {name(mask ^ low)}")
+            row.append(index[mask ^ low])
+            rest ^= low
+        if len(row) == 2 and crosses(*dissection(mask, diagonals)):
+            raise ValueError(f"face {name(mask)} has crossing diagonals")
+        labels.append(labels[row[-1]] | ends[low.bit_length() - 1] if row else 0)
+        below.append(tuple(row))
+    return below, labels
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_facet_rows_and_labels_match_the_dict_oracle(n):
+    X = build(n)
+    assert (X.covers_below(), X.labels) == _rows_by_dict(n, X.dissections)
+
+
+def _message(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    return str(info.value)
+
+
+def test_a_missing_subface_is_named_as_the_dict_oracle_names_it():
+    X = build(7)
+    faces = X.dissections
+    bits = {d: 1 << j for j, d in enumerate(all_diagonals(7))}
+    d13, d14, d15, d57 = (bits[Diagonal(a, b)] for a, b in ((1, 3), (1, 4), (1, 5), (5, 7)))
+    # {1-3} is the parent of the first face above it; {5-7}, the last
+    # diagonal, is the last one of every face that holds it, so it is
+    # never a parent, and its first face above is {a, 5-7} with parent {a};
+    # {1-3,1-4,1-5} lacks both its parent and, first, {1-4,1-5}
+    for gone, message in (
+        ({d13}, "face {1-3,1-4} lacks its subface {1-3}"),
+        ({d57}, "face {1-3,5-7} lacks its subface {5-7}"),
+        ({d13 | d14, d14 | d15}, "face {1-3,1-4,1-5} lacks its subface {1-4,1-5}"),
+    ):
+        bad = [m for m in faces if m not in gone]
+        assert _message(lambda: LabeledComplex(7, bad)) == message
+        assert _message(lambda: _rows_by_dict(7, bad)) == message
+    # faces dropped at random: the same face and subface as the oracle
+    rng = random.Random(7)
+    simplicial = range(1, len(faces) - 1)
+    for _ in range(200):
+        gone = set(rng.sample(simplicial, rng.randint(1, 3)))
+        bad = [m for g, m in enumerate(faces) if g not in gone]
+        assert _message(lambda: LabeledComplex(7, bad)) == _message(
+            lambda: _rows_by_dict(7, bad)
+        ), sorted(gone)
+
+
+def test_build_peaks_below_the_dict_it_no_longer_makes():
+    # tracemalloc slows the constructor superlinearly: 0.3 s at n = 9, 2 s at n = 10
+    dissections = build(9).dissections
+    dict_size = sys.getsizeof(dict(zip(dissections, range(len(dissections)))))
+    tracemalloc.start()
+    try:
+        X = LabeledComplex(9, dissections)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(X) == len(dissections)
+    # the arrays of the two blocks being read are all it holds for a while
+    assert peak - held < dict_size, (peak - held, dict_size)
 
 
 @pytest.mark.parametrize("n", range(4, 10))

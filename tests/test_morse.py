@@ -298,6 +298,18 @@ def _greedy_extend_unfiltered(m, X):
     return MorseMatching(tuple(match_at_lower.items()))
 
 
+def test_find_cycle_leaves_its_colour_array_clear():
+    # 0 -> 1 -> 2 -> 0, and 2 -> 3, a sink
+    successors = [[1], [2], [3, 0], []].__getitem__
+    color = bytearray(4)
+    assert _find_cycle([3], successors, color) is None
+    assert not any(color)
+    assert _find_cycle([3, 0], successors, color) == [0, 1, 2, 0]
+    assert not any(color)
+    # without an array the colours go in a dict
+    assert _find_cycle([1], successors) == [1, 2, 0, 1]
+
+
 @pytest.mark.parametrize("n", range(6, 11))
 def test_greedy_extend_matches_the_unfiltered_search(n):
     X = build(n)

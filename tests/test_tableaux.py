@@ -67,6 +67,65 @@ def test_tableau_validation():
         Tableau(((1,), (2, 3)))  # rows not weakly decreasing
 
 
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ((), ValueError, "shape must have at least one part"),
+        (((1,), ()), ValueError, "shape parts must be positive: (1, 0)"),
+        (((1,), (2, 3)), ValueError, "shape parts must be weakly decreasing: (1, 2)"),
+        (((1, 2.0),), TypeError, "entries must be ints: ((1, 2.0),)"),
+        (((True, 2),), TypeError, "entries must be ints: ((True, 2),)"),
+        (((1, 3), (2, 2), (5,)), ValueError, "entries must be exactly 1..5"),
+        (((1, 2), (4, 5)), ValueError, "entries must be exactly 1..4"),
+        (((2, 1),), ValueError, "row (2, 1) is not strictly increasing"),
+        (((1, 2, 3), (5, 4)), ValueError, "row (5, 4) is not strictly increasing"),
+        # a row is named before a column
+        (((1, 3), (4, 2)), ValueError, "row (4, 2) is not strictly increasing"),
+        (((2, 3), (1, 4)), ValueError, "column 0 is not strictly increasing"),
+        (((1, 4), (2, 3), (5,)), ValueError, "column 1 is not strictly increasing"),
+        (((1, 2, 3), (5, 6), (4,)), ValueError, "column 0 is not strictly increasing"),
+    ],
+)
+def test_tableau_errors_name_the_first_fault(rows, error, message):
+    with pytest.raises(error) as info:
+        Tableau(rows)
+    assert str(info.value) == message
+
+
+def _involution_reference(t):
+    """The involution with (n, d) from family_params, the entries above n outside row
+    two listed, and its result made through the checked constructor."""
+    n, d = family_params(t.shape)
+    first, second, *column = t.rows
+    outside = [v for v in range(n + 1, n + d) if v not in second]
+    if not outside:
+        return t
+    i = max(outside)
+    if column and column[-1][0] == i:
+        return Tableau((first + (i,), second + (n + d,), *column[:-1]))
+    assert first[-1] == i and second[-1] == n + d - 1
+    return Tableau((first[:-1], second[:-1], *column, (i,)))
+
+
+def test_involution_matches_the_checked_reference():
+    # every associahedron tableau for n <= 10 within the enumeration cap of 14 cells
+    for n in range(4, 11):
+        for d in range(1, min(n - 2, 16 - n)):
+            for t in enumerate_syt(associahedron_shape(n, d)):
+                s, expected = involution(t), _involution_reference(t)
+                assert s == expected and (s is t) == (expected is t), t
+
+
+def test_involution_names_a_shape_outside_the_family_as_family_params_does():
+    for rows in (((1, 2),), ((1,), (2,)), ((1, 2, 3), (4, 5)), ((1, 2), (3, 4), (5, 6))):
+        t = Tableau(rows)
+        with pytest.raises(ValueError) as want:
+            family_params(t.shape)
+        with pytest.raises(ValueError) as got:
+            involution(t)
+        assert str(got.value) == str(want.value)
+
+
 def test_enumerate_five_tableaux_in_reading_order():
     got = [t.rows for t in enumerate_syt((2, 2, 1))]
     assert got == [
