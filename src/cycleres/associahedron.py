@@ -117,6 +117,11 @@ def _dimension_blocks(
             dim = mask.bit_count() - 1
         else:
             raise ValueError(f"dissection {mask!r} is not a set of the {n}-gon's diagonals")
+        # most faces follow one of their own size, so their one check comes first:
+        # the previous face passed, so a face of its size is simplicial and small enough
+        if dim == prev_dim and mask is not None and (diff := mask ^ prev) & -diff & prev:
+            prev = mask
+            continue
         if dim < prev_dim:
             problem = f"of dimension {dim} follows one of dimension {prev_dim}"
         elif mask is None and i != len(dissections) - 1:
