@@ -119,21 +119,21 @@ def _dimension_blocks(
             raise ValueError(f"dissection {mask!r} is not a set of the {n}-gon's diagonals")
         # most faces follow one of their own size, so their one check comes first:
         # the previous face passed, so a face of its size is simplicial and small enough
-        if dim == prev_dim and mask is not None and (diff := mask ^ prev) & -diff & prev:
-            prev = mask
-            continue
-        if dim < prev_dim:
+        if dim == prev_dim:
+            # the first diagonal in which two equal-sized dissections differ is
+            # their lowest differing bit: it must be the earlier one's
+            if (diff := mask ^ prev) & -diff & prev:
+                prev = mask
+                continue
+            problem = f"does not follow {_face(n, diagonals, prev, 0)} lexicographically"
+        elif dim < prev_dim:
             problem = f"of dimension {dim} follows one of dimension {prev_dim}"
         elif mask is None and i != len(dissections) - 1:
             problem = f"of dimension {dim} is not last at dimension {n - 3}"
         elif mask is not None and dim >= n - 3:
             problem = f"has dimension {dim}, which only the interior cell reaches"
-        elif dim == prev_dim and not (diff := mask ^ prev) & -diff & prev:
-            # the first diagonal in which two equal-sized dissections differ is
-            # their lowest differing bit: it must be the earlier one's
-            problem = f"does not follow {_face(n, diagonals, prev, 0)} lexicographically"
         else:
-            starts.setdefault(dim, i)
+            starts[dim] = i
             prev, prev_dim = mask, dim
             continue
         face = _face(n, diagonals, mask, 0)
@@ -159,18 +159,15 @@ def _in_block(
 def _subface_error(
     n: int, diagonals: list[Diagonal], dissections: list[int | None], lower: range, mask: int
 ) -> ValueError:
-    """The error for face ``mask``: its first subface missing from ``lower``, else its crossing.
+    """The error for face ``mask``, which lacks a subface: the first missing from ``lower``.
 
     The subfaces are tried dropping the face's diagonals in order.
     """
     face = _face(n, diagonals, mask, 0)
     rest = mask
-    while rest:
-        low = rest & -rest
-        if _in_block(dissections, lower, mask ^ low, diagonals) is None:
-            return ValueError(f"face {face} lacks its subface {_face(n, diagonals, mask ^ low, 0)}")
+    while _in_block(dissections, lower, mask ^ (low := rest & -rest), diagonals) is not None:
         rest ^= low
-    return ValueError(f"face {face} has crossing diagonals")
+    return ValueError(f"face {face} lacks its subface {_face(n, diagonals, mask ^ low, 0)}")
 
 
 def _facet_rows(
@@ -251,7 +248,7 @@ def _facet_rows(
             row.append(p)
             # a larger set with a crossing pair lacks that pair or failed on it
             if dim == 1 and crosses(diagonals[parent.bit_length() - 1], diagonals[t]):
-                raise _subface_error(n, diagonals, dissections, lower, mask)
+                raise ValueError(f"face {_face(n, diagonals, mask, 0)} has crossing diagonals")
             below.append(tuple(row))
             labels.append(vertex_sets[label_p | ends[t]])
         if grown:

@@ -9,7 +9,7 @@ faces are the critical cells.  On a view of A_n, faces keep their ids in A_n.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
@@ -99,20 +99,19 @@ def d2_matching(X: LabeledComplex) -> MorseMatching:
 def _find_cycle(
     roots: Iterable[int],
     successors: Callable[[int], Iterable[int]],
-    color: bytearray | None = None,
+    color: bytearray | dict[int, int],
 ) -> list[int] | None:
     """A directed cycle reachable from roots, as a closed path of vertices, or None.
 
-    Iterative three-colour DFS.  ``color`` holds the colours by vertex id,
-    0 for a vertex not yet reached: a bytearray indexed by face id, all
-    zero, that the search leaves all zero again, so one array serves many
-    searches (without one, a dict holds them).  Vertices are coloured only
-    when reached, so a search costs what it explores, not the size of the
+    Iterative three-colour DFS.  The search colours vertices in the store
+    its caller passes: ``color[v]`` is 0 for a vertex not yet reached, as
+    in a zeroed bytearray indexed by face id or a dict that reads 0 for a
+    missing key, and the search sets every entry it wrote back to 0, so
+    one store serves many searches.  Vertices are coloured only when
+    reached, so a search costs what it explores, not the size of the
     whole graph.
     """
     GRAY, BLACK = 1, 2
-    if color is None:
-        color = defaultdict(int)
     reached: list[int] = []
     try:
         for root in roots:
@@ -306,12 +305,12 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     any cycle a new pair closes passes through its lower face and keeps
     that face's label throughout, so the cycle search after each addition
     starts from that face alone and follows only faces with its label.  It
-    is skipped when no step of the pair graph enters that face (it lies
-    below no other matched upper face with its label) or leaves it (no
-    other matched lower face with that label lies below the new upper
-    face), as a cycle through it needs both.  The matched faces, the faces
-    a step enters and the searches' colours are held in per-id arrays,
-    freed before the result is made.
+    is skipped only when no step of the pair graph enters that face: it
+    lies below no other matched upper face with its label, and a cycle
+    through it needs such a step.  Otherwise the search takes the first
+    step itself, and stops at its root when no step leaves it.  The
+    matched faces, the faces a step enters and the colours the searches
+    share are held in per-id arrays, freed before the result is made.
     """
     labels, below = X.labels, X.covers_below()
     size = len(labels)
@@ -342,17 +341,8 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
         if matched[lo] or matched[hi]:
             continue
         if entered[lo]:
-            # a cycle through the new pair also steps from lo to a matched
-            # lower face with its label below hi; with none there is none
             match_at_lower[lo] = hi
-            label = labels[hi]
-            for b in below[hi]:
-                if b != lo and labels[b] == label and match_at_lower[b] is not None:
-                    cycle = _find_cycle((lo,), step, color)
-                    break
-            else:
-                cycle = None
-            if cycle is not None:
+            if _find_cycle((lo,), step, color) is not None:
                 match_at_lower[lo] = None
                 continue
         match(lo, hi)

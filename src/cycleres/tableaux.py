@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain
 from math import factorial
 from operator import ge, itemgetter, lt
@@ -56,10 +57,7 @@ def hook_count(shape: Iterable[int]) -> int:
     return q
 
 
-# shape -> _neighbours(shape), a function of the shape alone
-_NEIGHBOURS: dict[Shape, tuple[itemgetter, itemgetter]] = {}
-
-
+@cache
 def _neighbours(shape: Shape) -> tuple[itemgetter, itemgetter]:
     """Getters of the smaller and of the larger entry of every two neighbouring cells.
 
@@ -67,20 +65,16 @@ def _neighbours(shape: Shape) -> tuple[itemgetter, itemgetter]:
     in columns.  A filling of the shape increases strictly along rows
     and columns when every pair increases.  Made once per shape.
     """
-    getters = _NEIGHBOURS.get(shape)
-    if getters is None:
-        starts = [0, *accumulate(shape)]
-        smaller = [p for a, b in zip(starts, starts[1:]) for p in range(a, b - 1)]
-        larger = [p + 1 for p in smaller]
-        for r in range(1, len(shape)):
-            smaller += range(starts[r - 1], starts[r - 1] + shape[r])
-            larger += range(starts[r], starts[r] + shape[r])
-        if len(smaller) > 1:
-            getters = itemgetter(*smaller), itemgetter(*larger)
-        else:  # one index would get a bare entry; the one pair, if any, is (0, 1)
-            getters = itemgetter(slice(len(smaller))), itemgetter(slice(1, 1 + len(smaller)))
-        _NEIGHBOURS[shape] = getters
-    return getters
+    starts = [0, *accumulate(shape)]
+    smaller = [p for a, b in zip(starts, starts[1:]) for p in range(a, b - 1)]
+    larger = [p + 1 for p in smaller]
+    for r in range(1, len(shape)):
+        smaller += range(starts[r - 1], starts[r - 1] + shape[r])
+        larger += range(starts[r], starts[r] + shape[r])
+    if len(smaller) > 1:
+        return itemgetter(*smaller), itemgetter(*larger)
+    # one index would get a bare entry; the one pair, if any, is (0, 1)
+    return itemgetter(slice(len(smaller))), itemgetter(slice(1, 1 + len(smaller)))
 
 
 @dataclass(frozen=True, order=True)
@@ -139,7 +133,9 @@ class Tableau:
         return [list(r) for r in self.rows]
 
     def __str__(self) -> str:
-        return "/".join("".join(str(v) for v in row) for row in self.rows)
+        # from 10 cells on, entries of two digits need a separator to be read back
+        sep = "," if self.size >= 10 else ""
+        return "/".join(sep.join(map(str, row)) for row in self.rows)
 
 
 def enumerate_syt(shape: Iterable[int]) -> list[Tableau]:

@@ -194,6 +194,24 @@ def test_face_list_out_of_canonical_order_rejected():
     assert LabeledComplex(5, list(faces)).covers == build(5).covers
 
 
+def test_face_list_out_of_order_inside_an_edge_block_rejected():
+    # the cases above break the order in dimension 0; these break it
+    # between two faces of dimension 1
+    X = build(6)
+    faces = X.dissections
+    g = X.kept[1].start + 1
+    assert [str(X.faces[h]) for h in (g, g + 1)] == ["{1-3,1-5}", "{1-3,3-5}"]
+    duplicated = [*faces[: g + 1], faces[g], *faces[g + 1 :]]
+    swapped = [*faces[:g], faces[g + 1], faces[g], *faces[g + 2 :]]
+    cases = [
+        (duplicated, "face {1-3,1-5} does not follow {1-3,1-5} lexicographically"),
+        (swapped, "face {1-3,1-5} does not follow {1-3,3-5} lexicographically"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabeledComplex(6, bad)
+
+
 def test_face_of_crossing_diagonals_rejected():
     X = build(6)
     faces = X.dissections

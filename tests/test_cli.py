@@ -443,6 +443,8 @@ PINNED_STDOUT = {
     "morse 6 --json": "4a19ce4dd91b1543baddc6c89e91cdc89e0d77357e70869e769d33993d8a39e2",
     "syt --shape 3,3,1 --enumerate":
         "951e024f31dd22204f457457de8de4ca639f4e02787f3f9c9c27857fe924d45e",
+    "syt --shape 10,1 --enumerate":
+        "49212ae9655154a79832058ddb26a187070add76425e7cbb7fe30a24933fef1b",
     "syt --family assoc --n 6 --d 2 --json --enumerate":
         "b0f208d3541a51a9197a9c58f0609f3516cd695a505ef0e1519eae5323b3deff",
     "involution 7 3 --verify": "fc8ad57d6cfbff258e840e1f90ce79d4b8016f6bcb8d21b7de5dde25fdf9989b",

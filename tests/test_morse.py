@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 
 from cycleres.associahedron import boundary_complex, build, restrict
@@ -287,11 +289,12 @@ def _greedy_extend_unfiltered(m, X):
         upper = match_at_lower[lower]
         return (b for b in below[upper] if b != lower and b in match_at_lower)
 
+    color = defaultdict(int)
     for lo, hi in X.equal_label_covers():
         if lo in match_at_lower or lo in uppers or hi in match_at_lower or hi in uppers:
             continue
         match_at_lower[lo] = hi
-        if _find_cycle([lo], step) is not None:
+        if _find_cycle([lo], step, color) is not None:
             del match_at_lower[lo]
         else:
             uppers.add(hi)
@@ -306,11 +309,22 @@ def test_find_cycle_leaves_its_colour_array_clear():
     assert not any(color)
     assert _find_cycle([3, 0], successors, color) == [0, 1, 2, 0]
     assert not any(color)
-    # without an array the colours go in a dict
-    assert _find_cycle([1], successors) == [1, 2, 0, 1]
+    assert _find_cycle([1], successors, color) == [1, 2, 0, 1]
+    assert not any(color)
 
 
-@pytest.mark.parametrize("n", range(6, 11))
+def test_find_cycle_colours_in_the_mapping_it_is_given():
+    # 0 -> 1 -> 2 -> 0, and 2 -> 3, a sink; a defaultdict(int) reads 0 for
+    # a vertex not yet reached, so it serves as the colour store
+    successors = [[1], [2], [3, 0], []].__getitem__
+    for roots, cycle in (([3], None), ([3, 0], [0, 1, 2, 0]), ([1], [1, 2, 0, 1])):
+        color = defaultdict(int)
+        assert _find_cycle(roots, successors, color) == cycle
+        assert _find_cycle(roots, successors, bytearray(4)) == cycle
+        assert color and not any(color.values())
+
+
+@pytest.mark.parametrize("n", range(6, 12))
 def test_greedy_extend_matches_the_unfiltered_search(n):
     X = build(n)
     for m in (d2_matching(X), MorseMatching(())):

@@ -316,6 +316,10 @@ def test_tableau_json_and_str():
     t = Tableau(((1, 2), (3, 4), (5,)))
     assert t.to_json() == [[1, 2], [3, 4], [5]]
     assert str(t) == "12/34/5"
+    # from 10 cells on, a comma keeps two-digit entries apart
+    assert str(Tableau((tuple(range(1, 9)), (9,)))) == "12345678/9"
+    assert str(Tableau((tuple(range(1, 10)), (10,)))) == "1,2,3,4,5,6,7,8,9/10"
+    assert str(Tableau((tuple(range(1, 11)), (11,)))) == "1,2,3,4,5,6,7,8,9,10/11"
 
 
 def test_tableau_keeps_its_row_tuples():
