@@ -190,6 +190,16 @@ def iter_dissections(n: int, d: int) -> Iterator[tuple[Diagonal, ...]]:
     return (dissection(m, diagonals) for m in size_d)
 
 
+def size_counts(n: int) -> list[int]:
+    """How many dissections of the n-gon have d diagonals, for d = 0..n - 3, in one walk.
+
+    Counts the bitmasks ``iter_noncrossing(all_diagonals(n))`` yields, by
+    size, without keeping them: the f-vector of A_n without its interior cell.
+    """
+    by_size = Counter(map(int.bit_count, iter_noncrossing(all_diagonals(n))))
+    return [by_size[d] for d in range(n - 2)]
+
+
 def slice_counts(n: int, d: int) -> tuple[dict[int, int], int]:
     """The d-diagonal dissections by support size, and how many are trees, in one walk.
 

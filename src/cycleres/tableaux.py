@@ -222,6 +222,13 @@ def involution(t: Tableau) -> Tableau:
     the end of the first row (move it to the bottom of the first column
     and delete the last entry of the second row, which must be n+d-1:
     lands in family (n, d-1)).  Applying the map twice returns the input.
+
+    The input is standard, so the image is checked only where it changed
+    and made without the constructor's full check: every neighbour pair
+    of the image is a pair of the input, holds the new largest entry
+    n+d, or is the one pair that i joins (i after the old end of row
+    one, or i below the old bottom of column one).  A failed comparison
+    raises RuntimeError naming that cell.
     """
     rows = t.rows
     d = len(rows[0]) - 1
@@ -242,13 +249,18 @@ def involution(t: Tableau) -> Tableau:
         return t
     if column and column[-1][0] == i:
         # bottom of the first column: grow both long rows
-        result = Tableau((first + (i,), second + (n + d,), *column[:-1]))
+        if i <= first[-1]:
+            raise RuntimeError(f"entry {i} cannot end row one after {first[-1]}")
+        result = Tableau._standard((first + (i,), second + (n + d,), *column[:-1]))
         expected = associahedron_shape(n, d + 1)
     elif first[-1] == i:
         # end of the first row: shrink both long rows
         if second[-1] != n + d - 1:
             raise RuntimeError(f"second row must end with {n + d - 1}, found {second[-1]}")
-        result = Tableau((first[:-1], second[:-1], *column, (i,)))
+        above = column[-1][0] if column else second[0]
+        if i <= above:
+            raise RuntimeError(f"entry {i} cannot end column one below {above}")
+        result = Tableau._standard((first[:-1], second[:-1], *column, (i,)))
         expected = associahedron_shape(n, d - 1)
     else:
         raise RuntimeError(

@@ -466,6 +466,17 @@ def test_label_output_matches_pinned_hash(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
+def test_fvector_builds_no_complex(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"fvector built A_{n}")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    for command in ("fvector 8", "fvector 8 --json"):
+        code, out, _ = run(capsys, command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
 def test_every_subcommand_is_pinned_in_text_and_json():
     sub = next(
         action for action in cli.build_parser()._actions

@@ -5,7 +5,7 @@ from collections.abc import Sequence
 import pytest
 
 from cycleres import polygon
-from cycleres.associahedron import f_formula
+from cycleres.associahedron import build, f_formula
 from cycleres.polygon import (
     Diagonal,
     SupportClass,
@@ -20,6 +20,7 @@ from cycleres.polygon import (
     iter_dissections,
     iter_noncrossing,
     rotate,
+    size_counts,
     slice_counts,
     support,
     vertices,
@@ -238,6 +239,14 @@ def test_iter_dissections_range_check():
         list(iter_dissections(6, 4))
     with pytest.raises(ValueError):
         list(iter_dissections(6, -1))
+
+
+def test_size_counts_is_the_f_vector_of_the_built_complex():
+    # the counter fvector prints against the face list it never builds
+    for n in range(4, 11):
+        counted = size_counts(n) + [1]
+        assert counted == build(n).f_vector()
+        assert counted == [f_formula(n, d) for d in range(n - 2)] + [1]
 
 
 def test_count_by_support_refinements():

@@ -116,6 +116,24 @@ def test_involution_matches_the_checked_reference():
                 assert s == expected and (s is t) == (expected is t), t
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # grow: 8 sits at the bottom of column one, and row one already ends in 8
+        (((1, 2, 8), (3, 4, 5), (6,), (8,)), "entry 8 cannot end row one after 8"),
+        # shrink: 8 ends row one, and the bottom of column one is 10
+        (((1, 2, 6, 8), (3, 4, 5, 9), (10,)), "entry 8 cannot end column one below 10"),
+        # shrink with no column below row two: 7 would go under row two's 8
+        (((1, 2, 3, 7), (8, 4, 5, 8)), "entry 7 cannot end column one below 8"),
+    ],
+)
+def test_involution_checks_the_cell_it_moves(rows, message):
+    # inputs made without the check, each breaking only the comparison at i's new cell
+    with pytest.raises(RuntimeError) as info:
+        involution(Tableau._standard(rows))
+    assert str(info.value) == message
+
+
 def test_involution_names_a_shape_outside_the_family_as_family_params_does():
     for rows in (((1, 2),), ((1,), (2,)), ((1, 2, 3), (4, 5)), ((1, 2), (3, 4), (5, 6))):
         t = Tableau(rows)
