@@ -12,18 +12,22 @@ coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n only
 the interior cell has).  For A_n the table is ``covers_below()`` itself,
 not a copy; dd = 0 is checked once over the integers: an unsigned row
 whose terms cancel in pairs by id passes as it stands, and every other
-row is summed.  Each rank builds
-the rows it needs for the field asked for, as id sets for GF(2) and
-``{id: ±1}`` dicts for the rationals, and reduces them against pivot
-rows keyed by their largest id.  A view (a restriction or the boundary
-sphere) ranks its face list's rows at its kept ids.  Betti numbers rank
-from the top dimension down with clearing (Chen & Kerber, "Persistent
-homology computation with a twist", 2011).
+row is summed.  Each rank reads the table's rows in place, keyed by
+their lead, the largest id, which a simplicial face's row holds first;
+each row that does not is given a lead-first copy once, when the complex
+is made.  A row whose lead starts no pivot becomes that pivot as it
+stands.  Only a row that meets a pivot is copied, into an id set for
+GF(2) or an ``{id: ±1}`` dict for the rationals, and reduced; a pivot
+is copied when a reduction first reads it (the "emergent pairs" of
+Bauer, "Ripser", 2021).  A view (a restriction or the boundary sphere)
+ranks its face list's rows at its kept ids.  Betti numbers rank from the
+top dimension down with clearing (Chen & Kerber, "Persistent homology
+computation with a twist", 2011).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, KeysView, Sequence
 from enum import Enum
 from functools import cache
 from itertools import chain, combinations
@@ -46,42 +50,70 @@ class Field(Enum):
         raise ValueError(f"unknown field {value!r}; use 'gf2' or 'rational'")
 
 
-def rank_gf2(rows: list[set[int]]) -> set[int]:
+def rank_gf2(rows: list[Sequence[int]]) -> KeysView[int]:
     """Pivot ids over GF(2) of a matrix given as rows of the ids with odd entries.
 
-    Each row is reduced by symmetric difference against the pivot rows,
-    keyed by their largest id, until it vanishes or becomes a new pivot.
-    The rows are consumed.
+    Each row must be lead-first: its first id is its largest, its lead.
+    A row whose lead starts no pivot yet becomes that pivot as it stands,
+    uncopied.  A row that meets a pivot is copied into a set and reduced
+    by symmetric difference against the pivots, keyed by their largest
+    id, until it vanishes or becomes a new pivot; a pivot still stored as
+    its row is turned into a set when a reduction first reads it.  The
+    rows are not changed.
     """
-    pivots: dict[int, set[int]] = {}
+    pivots: dict[int, Sequence[int] | set[int]] = {}
     for row in rows:
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
+        if not row:
+            continue
+        lead = row[0]
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            continue
+        row = set(row)
+        while True:
+            if not isinstance(pivot, set):
+                pivot = pivots[lead] = set(pivot)
             row ^= pivot
-    return set(pivots)
-
-
-def rank_int(rows: list[dict[int, int]]) -> set[int]:
-    """Pivot ids over the rationals of an integer matrix given as ``{id: value}`` rows.
-
-    Values must be nonzero; pivots are as for ``rank_gf2``.  With
-    leading value v in the row r and p in the pivot, a ±1 pivot is
-    subtracted ``v·p`` times; any other pivot turns r into
-    ``p·r − v·pivot``, which is then divided by its content.  Exact for
-    any integer input.  The rows are consumed.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        while row:
+            if not row:
+                break
             lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
                 break
+    return pivots.keys()
+
+
+def rank_int(
+    rows: list[Sequence[int]], coefficients: Iterable[Sequence[int]]
+) -> KeysView[int]:
+    """Pivot ids over the rationals of an integer matrix given as rows of ids.
+
+    ``coefficients`` holds one sequence per row: the row's i-th id has
+    value ``coefficients[r][i]``, which must be nonzero (a longer
+    sequence is cut to the row).  Rows are lead-first and pivots are as
+    for ``rank_gf2``: a row that meets a pivot is copied into an
+    ``{id: value}`` dict, and a pivot stored as its row and coefficients
+    is turned into one when a reduction first reads it.  With leading
+    value v in the row r and p in the pivot, a ±1 pivot is subtracted
+    ``v·p`` times; any other pivot turns r into ``p·r − v·pivot``, which
+    is then divided by its content.  Exact for any integer input.  The
+    rows are not changed.
+    """
+    pivots: dict[int, tuple[Sequence[int], Sequence[int]] | dict[int, int]] = {}
+    for row, values in zip(rows, coefficients):
+        if not row:
+            continue
+        lead = row[0]
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = (row, values)
+            continue
+        row = dict(zip(row, values))
+        while True:
+            if isinstance(pivot, tuple):
+                pivot = pivots[lead] = dict(zip(*pivot))
             p, v = pivot[lead], row[lead]
             unit = p == 1 or p == -1
             if unit:
@@ -94,11 +126,18 @@ def rank_int(rows: list[dict[int, int]]) -> set[int]:
                     row[i] = y
                 else:
                     del row[i]
+            if not row:
+                break
             if not unit:
                 g = gcd(*row.values())
                 if g > 1:
                     row = {i: x // g for i, x in row.items()}
-    return set(pivots)
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+    return pivots.keys()
 
 
 class ChainComplex:
@@ -112,7 +151,9 @@ class ChainComplex:
     which must be ±1, one per entry (ValueError otherwise).  The identity
     boundary-of-boundary = 0 is verified once, over the integers, at
     construction, which implies it in every field (RuntimeError names the
-    first cell where it fails); each rank takes its field as an argument.
+    first cell where it fails); each rank takes its field as an argument
+    and reads the rows in place, each row that does not start with its
+    largest id from a lead-first copy made at construction.
     """
 
     def __init__(
@@ -132,13 +173,14 @@ class ChainComplex:
         # covers every row, so zip never cuts one short
         self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
         self._verify_dd_zero()
+        self._rows, self._coefficients = self._lead_first()
 
     def rank(self, k: int, field: Field | str, ids: Iterable[int] | None = None) -> int:
         """Rank over field of the boundaries of the k-cells with these ids (default ``bases[k]``).
 
         Every row is reduced; only ``reduced_betti`` skips rows by clearing.
         """
-        return len(self._pivots(self.bases[k] if ids is None else ids, field))
+        return len(self._pivots(self.bases[k] if ids is None else list(ids), field))
 
     def reduced_betti(
         self, field: Field | str, kept: dict[int, Sequence[int]] | None = None
@@ -153,20 +195,41 @@ class ChainComplex:
         """
         cells = kept or self.bases
         ranks = [0] * (max(cells) + 2)
-        cleared: set[int] = set()
+        cleared: Collection[int] = ()
         for k in range(max(cells), -1, -1):
             cleared = self._pivots([g for g in cells[k] if g not in cleared], field)
             ranks[k] = len(cleared)
         return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
 
-    def _pivots(self, ids: Iterable[int], field: Field | str) -> set[int]:
-        """Pivot ids over field of the boundaries of the cells ids, rows built per field."""
-        table = self.table
+    def _pivots(self, ids: Sequence[int], field: Field | str) -> KeysView[int]:
+        """Pivot ids over field of the boundaries of the cells ids, ranked on the rows in place."""
+        rows = self._rows
         if Field.coerce(field) is Field.GF2:
             # every coefficient is ±1, so odd
-            return rank_gf2([set(table[g]) for g in ids])
-        signs, alternating = self.signs, self._alternating
-        return rank_int([dict(zip(table[g], signs.get(g, alternating))) for g in ids])
+            return rank_gf2([rows[g] for g in ids])
+        coefficients, alternating = self._coefficients, self._alternating
+        return rank_int([rows[g] for g in ids], [coefficients.get(g, alternating) for g in ids])
+
+    def _lead_first(self) -> tuple[Sequence[Sequence[int]], dict[int, Sequence[int]]]:
+        """The rows the kernels rank, each led by its largest id, and their explicit coefficients.
+
+        The rows are the table itself when every row starts with its
+        largest id, as a simplicial face's row does; otherwise a list of
+        the table's rows in which each row that does not is replaced by a
+        copy sorted in descending order.  The coefficients are ``signs``,
+        with the coefficients of each replaced row in its new order.
+        """
+        table, signs, alternating = self.table, self.signs, self._alternating
+        moved = [g for g, row in enumerate(table) if row and row[0] != max(row)]
+        if not moved:
+            return table, signs
+        rows, coefficients = list(table), dict(signs)
+        for g in moved:
+            row, values = table[g], coefficients.get(g, alternating)
+            order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+            rows[g] = tuple(row[i] for i in order)
+            coefficients[g] = tuple(values[i] for i in order)
+        return rows, coefficients
 
     def _verify_dd_zero(self) -> None:
         """Raise RuntimeError at the first cell whose boundary of boundary is nonzero.

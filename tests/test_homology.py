@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -59,10 +60,64 @@ def _rank_mod2(rows):
 
 
 def _gf2_rows(rows):
-    return [{i for i, x in enumerate(r) if x % 2} for r in rows]
+    """Lead-first rows of the ids of a dense matrix's odd entries."""
+    return [tuple(i for i in reversed(range(len(r))) if r[i] % 2) for r in rows]
 
 
 def _int_rows(rows):
+    """Lead-first rows of the ids of a dense matrix's nonzero entries, and their values."""
+    ids = [tuple(i for i in reversed(range(len(r))) if r[i]) for r in rows]
+    return ids, [tuple(r[i] for i in row) for r, row in zip(rows, ids)]
+
+
+def _eager_rank_gf2(rows):
+    """Pivot ids over GF(2), each row an id set copied and reduced before it is stored."""
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    return set(pivots)
+
+
+def _eager_rank_int(rows):
+    """Pivot ids over the rationals, each row an ``{id: value}`` dict reduced before it is stored."""
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            p, v = pivot[lead], row[lead]
+            unit = p == 1 or p == -1
+            if unit:
+                v *= p
+            else:
+                row = {i: p * x for i, x in row.items()}
+            for i, x in pivot.items():
+                y = row.get(i, 0) - v * x
+                if y:
+                    row[i] = y
+                else:
+                    del row[i]
+            if not unit:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {i: x // g for i, x in row.items()}
+    return set(pivots)
+
+
+def _eager_gf2_rows(rows):
+    return [{i for i, x in enumerate(r) if x % 2} for r in rows]
+
+
+def _eager_int_rows(rows):
     return [{i: x for i, x in enumerate(r) if x} for r in rows]
 
 
@@ -100,33 +155,61 @@ def test_rank_gf2_basics():
     assert len(rank_gf2(_gf2_rows([[1, 1], [1, 1]]))) == 1
     # a row holds the ids of the odd entries, whatever their sign
     assert rank_gf2(_gf2_rows([[2, -1], [-3, 4]])) == {0, 1}
-    assert rank_gf2([set(), {1}]) == {1}
+    assert rank_gf2([(), (1,)]) == {1}
 
 
 def test_rank_int_basics():
-    assert rank_int([]) == set()
-    assert len(rank_int(_int_rows([[0, 0], [0, 0]]))) == 0
-    assert len(rank_int(_int_rows([[1, 2], [2, 4]]))) == 1
-    assert rank_int(_int_rows([[1, 2], [2, 5]])) == {0, 1}
+    assert rank_int([], []) == set()
+    assert len(rank_int(*_int_rows([[0, 0], [0, 0]]))) == 0
+    assert len(rank_int(*_int_rows([[1, 2], [2, 4]]))) == 1
+    assert rank_int(*_int_rows([[1, 2], [2, 5]])) == {0, 1}
     # rank 2 over Q but rank 1 over GF(2)
-    assert len(rank_int(_int_rows([[1, 1], [1, -1]]))) == 2
+    assert len(rank_int(*_int_rows([[1, 1], [1, -1]]))) == 2
     assert len(rank_gf2(_gf2_rows([[1, 1], [1, -1]]))) == 1
     # non-unit pivots: the first needs division by the content
-    assert len(rank_int(_int_rows([[2, 4], [3, 6]]))) == 1
-    assert len(rank_int(_int_rows([[2, 3], [4, 5]]))) == 2
+    assert len(rank_int(*_int_rows([[2, 4], [3, 6]]))) == 1
+    assert len(rank_int(*_int_rows([[2, 3], [4, 5]]))) == 2
     # an all-zero row
-    assert rank_int([{}, {1: 3}]) == {1}
+    assert rank_int([(), (1,)], [(), (3,)]) == {1}
 
 
 def test_rank_int_matches_fraction_elimination():
     # mostly zero matrices bring fill-in and non-unit pivots
     for rows in _random_matrices(20240817):
-        assert len(rank_int(_int_rows(rows))) == _rank_fraction(rows)
+        pivots = rank_int(*_int_rows(rows))
+        assert len(pivots) == _rank_fraction(rows)
+        assert pivots == _eager_rank_int(_eager_int_rows(rows))
 
 
 def test_rank_gf2_matches_dense_mod2_elimination():
     for rows in _random_matrices(20261018):
-        assert len(rank_gf2(_gf2_rows(rows))) == _rank_mod2(rows)
+        pivots = rank_gf2(_gf2_rows(rows))
+        assert len(pivots) == _rank_mod2(rows)
+        assert pivots == _eager_rank_gf2(_eager_gf2_rows(rows))
+
+
+def _eager_pivots(cc, ids, field):
+    """The eager oracle's pivot ids of the cells ids, each row copied from the table."""
+    if field is Field.GF2:
+        return _eager_rank_gf2([set(cc.table[g]) for g in ids])
+    rows = []
+    for g in ids:
+        row = cc.table[g]
+        signs = cc.signs.get(g) or [(-1) ** i for i in range(len(row))]
+        rows.append(dict(zip(row, signs)))
+    return _eager_rank_int(rows)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_chain_complex_pivots_match_the_eager_oracle(n):
+    X = build(n)
+    cc = chain_complex(X)
+    for parent in (X, boundary_complex(X)):
+        for R in [parent, *(restrict(parent, mask) for mask in range(1 << n))]:
+            for field in Field:
+                for k, ids in R.kept.items():
+                    ids = list(ids)
+                    assert cc._pivots(ids, field) == _eager_pivots(cc, ids, field), (k, field)
 
 
 def test_pentagon_boundary_rank():
@@ -308,6 +391,41 @@ def test_simplicial_reduced_betti_known_spaces():
 
 _SEGMENT = {-1: [0], 0: [1, 2], 1: [3]}
 _SEGMENT_TABLE = [[], [0], [0], [1, 2]]
+
+
+# hand-made rows that do not start with their largest id: the hollow
+# triangle's edges ascend, and each square of the pillow (two squares glued
+# along their boundary, a 2-sphere) has its largest edge, 8, in the middle,
+# with signs that differ by position between the two squares
+_TRIANGLE = {-1: [0], 0: [1, 2, 3], 1: [4, 5, 6]}
+_TRIANGLE_TABLE = [(), (0,), (0,), (0,), (1, 2), (2, 3), (1, 3)]
+_PILLOW = {-1: [0], 0: [1, 2, 3, 4], 1: [5, 6, 7, 8], 2: [9, 10]}
+_PILLOW_TABLE = [(), *[(0,)] * 4, (2, 1), (3, 2), (4, 3), (4, 1), (5, 8, 6, 7), (7, 5, 8, 6)]
+_PILLOW_SIGNS = {9: (1, -1, 1, 1), 10: (1, 1, -1, 1)}
+
+
+@pytest.mark.parametrize("field", Field)
+def test_a_row_is_led_by_its_largest_id_wherever_it_sits(field):
+    triangle = ChainComplex(_TRIANGLE, _TRIANGLE_TABLE)
+    assert triangle.rank(1, field) == 2
+    assert triangle.reduced_betti(field) == [0, 1]
+    pillow = ChainComplex(_PILLOW, _PILLOW_TABLE, _PILLOW_SIGNS)
+    assert pillow.rank(2, field) == 1
+    assert pillow.reduced_betti(field) == [0, 0, 1]
+    # the table keeps its rows in the order given
+    assert pillow.table[9] == (5, 8, 6, 7) and pillow.signs == _PILLOW_SIGNS
+
+
+def test_ranking_leaves_the_shared_facet_table_as_built():
+    # pivots are the facet table's own rows until a reduction copies them
+    X = build(8)
+    for field in Field:
+        for mask in range(1 << 8):
+            reduced_betti_numbers(restrict(X, mask), field)
+        reduced_betti_numbers(boundary_complex(X), field)
+    table = X.covers_below()
+    assert table == build(8).covers_below()
+    assert all(type(row) is tuple for row in table)
 
 
 def test_boundary_squared_zero_is_checked():
