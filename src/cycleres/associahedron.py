@@ -202,7 +202,7 @@ def _facet_rows(
     base = 0  # the first id of the block two below
     for dim, block in kept.items():
         if dissections[block.start] is None:  # the interior cell, last
-            row = tuple(kept.get(n - 4, ()))
+            row = tuple(reversed(kept.get(n - 4, ())))  # lead first, like every row
             if len(row) != (want := f_formula(n, n - 3)):
                 raise ValueError(
                     f"the interior cell needs all {want} triangulations, found {len(row)}"
@@ -291,8 +291,8 @@ class LabeledComplex:
 
     parent: LabeledComplex | None = None
     kept: dict[int, Sequence[int]]
-    # label -> dimension -> ids, built by the first restrict
-    _labels: dict[int, dict[int, list[int]]] | None = None
+    # label -> ids in id order, built by the first restrict
+    _labels: dict[int, list[int]] | None = None
     # the verified integer chain complex, built by homology on first use
     _chains = None
 
@@ -314,14 +314,12 @@ class LabeledComplex:
         V._bits, V._below = owner._bits, owner._below
         return V
 
-    def _label_index(self) -> dict[int, dict[int, list[int]]]:
-        """Ids by label, then dimension, built once."""
+    def _label_index(self) -> dict[int, list[int]]:
+        """The ids of the face list by label, each list in id order, built once."""
         if self._labels is None:
-            labels = self.labels
-            index: dict[int, dict[int, list[int]]] = defaultdict(dict)
-            for d, ids in self.kept.items():
-                for g in ids:
-                    index[labels[g]].setdefault(d, []).append(g)
+            index: dict[int, list[int]] = defaultdict(list)
+            for g, label in enumerate(self.labels):
+                index[label].append(g)
             self._labels = dict(index)
         return self._labels
 
@@ -392,10 +390,12 @@ class LabeledComplex:
         """The facet table of the face list, indexed by face id: the ids each face covers.
 
         A row is a tuple.  A simplicial face's row holds its dissection
-        minus its i-th diagonal at index i; the interior cell's row holds
-        the triangulations in id order.  A view shares its face list's table,
-        whose rows at the kept ids hold only kept ids.  The table is the
-        stored cover relation, not a copy: callers must not change it.
+        minus its i-th diagonal at index i, so its ids descend; the
+        interior cell's row holds the triangulations in descending id
+        order, so every row starts with its largest id.  A view shares
+        its face list's table, whose rows at the kept ids hold only kept
+        ids.  The table is the stored cover relation, not a copy: callers
+        must not change it.
         """
         return self._below
 
@@ -485,23 +485,33 @@ def restrict(X: LabeledComplex, sigma: int) -> LabeledComplex:
     subfaces and no restriction checks closure.  The kept faces are the
     union of the label buckets inside sigma, less those a view X does not
     keep; the result is a view of the face list, keeping its ids.  The
-    interior cell survives only when sigma is (1 << n) - 1, all of 1..n.
+    buckets are sorted together once, and the sorted ids are cut into
+    dimension blocks by bisecting at the ends of the face list's blocks.
+    The interior cell survives only when sigma is (1 << n) - 1, all of 1..n.
     """
     if not 0 <= sigma < 1 << X.n:
         raise ValueError(f"sigma {sigma:#b} is not a subset of 1..{X.n}")
-    index = (X if X.parent is None else X.parent)._label_index()
-    found: dict[int, list[int]] = defaultdict(list)
+    P = X if X.parent is None else X.parent
+    index = P._label_index()
+    buckets = []
     sub = sigma
     while True:  # every label inside sigma: its submasks, sigma first and 0 last
-        for d, bucket in index.get(sub, {}).items():
-            found[d] += bucket
+        if (bucket := index.get(sub)) is not None:
+            buckets.append(bucket)
         if not sub:
             break
         sub = (sub - 1) & sigma
-    kept = {d: sorted(found[d]) for d in sorted(found)}
+    found = sorted(chain.from_iterable(buckets))
     if X.parent is not None:
-        kept = {d: [g for g in ids if g in X] for d, ids in kept.items()}
-    return X._view({d: ids for d, ids in kept.items() if ids})
+        found = [g for g in found if g in X]
+    kept: dict[int, list[int]] = {}
+    start = 0
+    for d, block in P.kept.items():
+        end = bisect_left(found, block.stop, start)
+        if end > start:
+            kept[d] = found[start:end]
+            start = end
+    return X._view(kept)
 
 
 def boundary_complex(X: LabeledComplex) -> LabeledComplex:

@@ -7,34 +7,40 @@ shortcuts.
 
 A chain complex is a facet table, one integer object per face list.  A
 face is its id, its position in the face list, and that id is its row:
-row g lists the ids of the cells that cell g covers, and its i-th entry has
-coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n only
-the interior cell has).  For A_n the table is ``covers_below()`` itself,
-not a copy; dd = 0 is checked once over the integers: an unsigned row
-whose terms cancel in pairs by id passes as it stands, and every other
-row is summed.  Each rank reads the table's rows in place, keyed by
-their lead, the largest id, which a simplicial face's row holds first;
-each row that does not is given a lead-first copy once, when the complex
-is made.  A row whose lead starts no pivot becomes that pivot as it
-stands.  Only a row that meets a pivot is copied, into an id set for
-GF(2) or an ``{id: ±1}`` dict for the rationals, and reduced; a pivot
-is copied when a reduction first reads it (the "emergent pairs" of
-Bauer, "Ripser", 2021).  A view (a restriction or the boundary sphere)
-ranks its face list's rows at its kept ids.  Betti numbers rank from the
-top dimension down with clearing (Chen & Kerber, "Persistent homology
-computation with a twist", 2011).
+row g lists the ids of the cells that cell g covers, and its i-th entry
+has coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n
+only the interior cell has).  For A_n the table is ``covers_below()``
+itself, not a copy.  dd = 0 is checked once over the integers, a run of
+rows of one length at a time: a run of unsigned rows whose terms cancel
+in pairs by id passes with one slice comparison per pair of positions,
+and every other row is summed.  Each rank reads the table's rows in
+place, keyed by their lead, the largest id.  Every row of A_n holds its
+lead first (the interior cell's row is stored in descending order); the
+run pass finds any row that does not, and only such a row is given a
+lead-first copy, once, when the complex is made.  A row whose lead
+starts no pivot becomes that pivot as it stands.  Only a row that meets
+a pivot is copied, into an id set for GF(2) or an ``{id: ±1}`` dict for
+the rationals, and reduced; a pivot is copied when a reduction first
+reads it (the "emergent pairs" of Bauer, "Ripser", 2021).  A view (a
+restriction or the boundary sphere) ranks its face list's rows at its
+kept ids, gathered in one pass that also skips the cleared ids.  Betti
+numbers rank from the top dimension down with clearing (Chen & Kerber,
+"Persistent homology computation with a twist", 2011).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, KeysView, Sequence
+from collections.abc import Collection, Iterable, Iterator, KeysView, Sequence
 from enum import Enum
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby, islice, repeat
 from math import gcd
-from operator import itemgetter
+from operator import gt, itemgetter
 
 from .associahedron import LabeledComplex
+
+# rows per chunk of the dd = 0 check: bounds the entries it copies at once
+_CHUNK = 4096
 
 
 class Field(Enum):
@@ -172,15 +178,16 @@ class ChainComplex:
                 raise ValueError(f"cell {g} needs one sign ±1 per entry of {list(table[g])}")
         # covers every row, so zip never cuts one short
         self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
-        self._verify_dd_zero()
-        self._rows, self._coefficients = self._lead_first()
+        # the dimensions that hold a signed cell: only their ranks look coefficients up
+        self._signed = {k for k, ids in bases.items() if any(g in ids for g in self.signs)}
+        self._rows, self._coefficients = self._lead_first(self._verify_dd_zero())
 
     def rank(self, k: int, field: Field | str, ids: Iterable[int] | None = None) -> int:
         """Rank over field of the boundaries of the k-cells with these ids (default ``bases[k]``).
 
         Every row is reduced; only ``reduced_betti`` skips rows by clearing.
         """
-        return len(self._pivots(self.bases[k] if ids is None else list(ids), field))
+        return len(self._pivots(k, self.bases[k] if ids is None else ids, field, ()))
 
     def reduced_betti(
         self, field: Field | str, kept: dict[int, Sequence[int]] | None = None
@@ -197,30 +204,43 @@ class ChainComplex:
         ranks = [0] * (max(cells) + 2)
         cleared: Collection[int] = ()
         for k in range(max(cells), -1, -1):
-            cleared = self._pivots([g for g in cells[k] if g not in cleared], field)
+            cleared = self._pivots(k, cells[k], field, cleared)
             ranks[k] = len(cleared)
         return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
 
-    def _pivots(self, ids: Sequence[int], field: Field | str) -> KeysView[int]:
-        """Pivot ids over field of the boundaries of the cells ids, ranked on the rows in place."""
+    def _pivots(
+        self, k: int, ids: Iterable[int], field: Field | str, cleared: Collection[int]
+    ) -> KeysView[int]:
+        """Pivot ids over field of the boundaries of the k-cells ids not in cleared.
+
+        The rows are ranked in place, gathered from the ids in one pass.
+        Over the rationals, a dimension without a signed cell passes the
+        alternating signs for every row and looks up no coefficient.
+        """
         rows = self._rows
         if Field.coerce(field) is Field.GF2:
             # every coefficient is ±1, so odd
-            return rank_gf2([rows[g] for g in ids])
-        coefficients, alternating = self._coefficients, self._alternating
+            return rank_gf2([rows[g] for g in ids if g not in cleared])
+        alternating = self._alternating
+        if k not in self._signed:
+            return rank_int([rows[g] for g in ids if g not in cleared], repeat(alternating))
+        ids = [g for g in ids if g not in cleared]
+        coefficients = self._coefficients
         return rank_int([rows[g] for g in ids], [coefficients.get(g, alternating) for g in ids])
 
-    def _lead_first(self) -> tuple[Sequence[Sequence[int]], dict[int, Sequence[int]]]:
+    def _lead_first(
+        self, moved: list[int]
+    ) -> tuple[Sequence[Sequence[int]], dict[int, Sequence[int]]]:
         """The rows the kernels rank, each led by its largest id, and their explicit coefficients.
 
-        The rows are the table itself when every row starts with its
-        largest id, as a simplicial face's row does; otherwise a list of
-        the table's rows in which each row that does not is replaced by a
-        copy sorted in descending order.  The coefficients are ``signs``,
-        with the coefficients of each replaced row in its new order.
+        ``moved`` lists the ids of the rows that do not start with their
+        largest id.  The rows are the table itself when there is none, as
+        in A_n; otherwise a list of the table's rows in which each moved
+        row is replaced by a copy sorted in descending order.  The
+        coefficients are ``signs``, with the coefficients of each replaced
+        row in its new order.
         """
         table, signs, alternating = self.table, self.signs, self._alternating
-        moved = [g for g, row in enumerate(table) if row and row[0] != max(row)]
         if not moved:
             return table, signs
         rows, coefficients = list(table), dict(signs)
@@ -231,18 +251,32 @@ class ChainComplex:
             coefficients[g] = tuple(values[i] for i in order)
         return rows, coefficients
 
-    def _verify_dd_zero(self) -> None:
+    def _verify_dd_zero(self) -> list[int]:
         """Raise RuntimeError at the first cell whose boundary of boundary is nonzero.
 
-        An unsigned row whose entries pair up (``_pairs_up``) passes as it
-        stands; a signed row, and any row that does not pair up, is summed
-        over the integers by ``_boundary_of_boundary``.
+        The table is read in chunks of consecutive rows of one length
+        (``_chunks``).  A chunk passes at once when ``_run_pairs_up``
+        holds on it, which is ``_pairs_up`` on each of its rows, none of
+        them signed.  Every other chunk is read row by row: an unsigned
+        row that pairs up passes as it stands, and a signed row, or one
+        that does not pair up, is summed over the integers by
+        ``_boundary_of_boundary``.  That loop is the only one that raises.
+        Returns the ids of the rows that do not start with their largest
+        id; only a chunk whose rows do not all descend (``_descending``)
+        is searched row by row for them.
         """
         table, signs = self.table, self.signs
-        for g, row in enumerate(table):
-            if g in signs or not _pairs_up(table, signs, row):
-                if any(self._boundary_of_boundary(g).values()):
-                    raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
+        moved: list[int] = []
+        for start, k, rows in _chunks(table):
+            entries = list(chain.from_iterable(rows))
+            if not _run_pairs_up(table, signs, start, len(rows), k, entries):
+                for g, row in enumerate(rows, start):
+                    if g in signs or not _pairs_up(table, signs, row):
+                        if any(self._boundary_of_boundary(g).values()):
+                            raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
+            if not _descending(entries, k):
+                moved += [g for g, row in enumerate(rows, start) if row[0] != max(row)]
+        return moved
 
     def _boundary_of_boundary(self, g: int) -> dict[int, int]:
         """The boundary of the boundary of cell g over the integers, as ``{id: coefficient}``."""
@@ -252,6 +286,63 @@ class ChainComplex:
             for lo2, c2 in zip(table[lo], signs.get(lo, alternating)):
                 acc[lo2] = acc.get(lo2, 0) + c * c2
         return acc
+
+
+def _chunks(table: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, list[Sequence[int]]]]:
+    """``(first id, k, rows)`` for runs of consecutive rows of k entries each.
+
+    A run of the table is cut into chunks of at most ``_CHUNK`` rows, so
+    a check that copies a chunk's entries holds at most that many rows'.
+    """
+    start = 0
+    for k, run in groupby(table, len):
+        while rows := list(islice(run, _CHUNK)):
+            yield start, k, rows
+            start += len(rows)
+
+
+def _run_pairs_up(
+    table: Sequence[Sequence[int]],
+    signs: dict[int, Sequence[int]],
+    start: int,
+    count: int,
+    k: int,
+    entries: list[int],
+) -> bool:
+    """Whether ``_pairs_up`` holds on each of count rows of k entries, with ids from start up.
+
+    ``entries`` are the rows' entries, concatenated.  Also False when one
+    of the rows' ids is signed, or when an entry does not index the table
+    from 0 up, so that ``_verify_dd_zero`` reads such a chunk row by row.
+    With ``flat`` the concatenation of the rows the entries index, each
+    of k - 1 entries, row r's j-th entry's i-th entry sits at
+    r·w + j·(k - 1) + i, with w = k·(k - 1); so one slice of stride w
+    reads one term of a pair on every row at once.  True for k = 0.
+    """
+    if not k:
+        return True
+    if any(start <= s < start + count for s in signs):
+        return False
+    lo, hi = min(entries), max(entries)
+    if lo < 0 or hi >= len(table):
+        return False
+    if any(lo <= s <= hi for s in signs) and not signs.keys().isdisjoint(entries):
+        return False
+    lower = itemgetter(*entries)(table) if len(entries) > 1 else (table[entries[0]],)
+    if {*map(len, lower)} != {k - 1}:
+        return False
+    flat = list(chain.from_iterable(lower))
+    w = k * (k - 1)
+    return all(
+        flat[j * (k - 1) + i :: w] == flat[i * (k - 1) + j - 1 :: w]
+        for j in range(1, k)
+        for i in range(j)
+    )
+
+
+def _descending(entries: list[int], k: int) -> bool:
+    """Whether each row of k entries, concatenated in ``entries``, strictly descends."""
+    return all(all(map(gt, entries[i::k], entries[i + 1 :: k])) for i in range(k - 1))
 
 
 def _pairs_up(
@@ -336,7 +427,9 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
 
     Its table is the face list's own ``covers_below()``: a simplicial
     face's row drops its i-th diagonal at index i, and only the interior
-    cell gets explicit signs, from ``_interior_signs``.  Its bases are the
+    cell gets explicit signs, from ``_interior_signs``, in its row's
+    descending id order.  Every row leads with its largest id, so the
+    kernels read the table itself.  Its bases are the
     face list's dimension blocks, its ``kept``.  A view gets its face
     list's complex, and every complex ranks it at the ids ``X.kept``.
     The complex is made, and checked for dd = 0 over the integers, on the

@@ -252,7 +252,9 @@ def _rows_by_dict(n, dissections):
     below, labels = [], []
     for mask in dissections:
         if mask is None:
-            row = tuple(g for g, m in enumerate(dissections) if m and m.bit_count() == n - 3)
+            # the triangulations, lead first: in descending id order
+            ids = (g for g, m in enumerate(dissections) if m and m.bit_count() == n - 3)
+            row = tuple(sorted(ids, reverse=True))
             if len(row) != f_formula(n, n - 3):
                 want = f_formula(n, n - 3)
                 raise ValueError(f"the interior cell needs all {want} triangulations, found {len(row)}")
@@ -567,6 +569,26 @@ def test_restriction_of_a_restriction():
     assert R.parent is X and R.kept == direct.kept
     with pytest.raises(AttributeError):
         R.no_such_attribute
+
+
+def _filtered(X, sigma):
+    """The ids of X whose labels lie inside sigma, by brute force, grouped by dimension."""
+    labels, kept = X.labels, {}
+    for g in X.ids():
+        if not labels[g] & ~sigma:
+            kept.setdefault(X.faces[g].dim, []).append(g)
+    return kept
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_restrict_keeps_exactly_the_labels_inside_sigma(n):
+    X = build(n)
+    B = boundary_complex(X)
+    for sigma in range(1 << n):
+        expected = _filtered(X, sigma)
+        assert restrict(X, sigma).kept == expected, sigma
+        expected.pop(n - 3, None)  # the boundary sphere has no interior cell
+        assert restrict(B, sigma).kept == expected, sigma
 
 
 def test_boundary_complex_drops_interior():

@@ -3,15 +3,20 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
 
 from cycleres.associahedron import LabeledComplex, boundary_complex, build, restrict
 from cycleres.homology import (
+    _CHUNK,
     ChainComplex,
     Field,
+    _chunks,
+    _descending,
     _pairs_up,
+    _run_pairs_up,
     chain_complex,
     is_acyclic,
     rank_gf2,
@@ -209,7 +214,8 @@ def test_chain_complex_pivots_match_the_eager_oracle(n):
             for field in Field:
                 for k, ids in R.kept.items():
                     ids = list(ids)
-                    assert cc._pivots(ids, field) == _eager_pivots(cc, ids, field), (k, field)
+                    pivots = cc._pivots(k, ids, field, ())
+                    assert pivots == _eager_pivots(cc, ids, field), (k, field)
 
 
 def test_pentagon_boundary_rank():
@@ -272,7 +278,7 @@ def test_boundary_columns_match_the_facet_table(n, signed_boundary):
     # the interior covers every triangulation once; its signs are checked
     # by test_interior_column_signs_cancel_over_rationals and dd = 0
     [interior] = cc.bases[n - 3]
-    assert cc.table[interior] == tuple(cc.bases[n - 4])
+    assert cc.table[interior] == tuple(reversed(cc.bases[n - 4]))
 
 
 def test_chain_complex_reads_the_facet_table_in_place():
@@ -289,6 +295,9 @@ def test_chain_complex_reads_the_facet_table_in_place():
     finally:
         tracemalloc.stop()
     assert cc.table is X.covers_below()
+    # every row, the interior cell's included, leads with its largest id,
+    # so the kernels rank the table itself, with no list of moved rows
+    assert cc._rows is cc.table and cc._coefficients is cc.signs
     assert held < built / 4, (held, built)
 
 
@@ -459,6 +468,76 @@ def test_dd_pairing_passes_what_the_integer_sum_passes(n):
     # every row but the signed interior cell's passes by pairing alone
     assert list(cc.signs) == [len(cc.table) - 1]
     assert all(_pairs_up(cc.table, cc.signs, row) for row in cc.table[:-1])
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_run_check_is_the_row_check_on_every_chunk(n):
+    cc = chain_complex(build(n))
+    table, signs = cc.table, cc.signs
+    chunks = list(_chunks(table))
+    # the chunks cover the table in order, each rows of one length
+    assert [row for _, _, rows in chunks for row in rows] == table
+    assert [start for start, _, _ in chunks] == [
+        sum(len(rows) for _, _, rows in chunks[:i]) for i in range(len(chunks))
+    ]
+    assert all(0 < len(rows) <= _CHUNK and {*map(len, rows)} == {k} for _, k, rows in chunks)
+    # from n = 10 on a dimension block holds more than one chunk
+    assert any(len(rows) == _CHUNK for _, _, rows in chunks) == (n >= 10)
+    for start, k, rows in chunks:
+        entries = list(chain.from_iterable(rows))
+        by_row = all(
+            g not in signs and _pairs_up(table, signs, row) for g, row in enumerate(rows, start)
+        )
+        assert _run_pairs_up(table, signs, start, len(rows), k, entries) == by_row, (start, k)
+        # every row of A_n, the interior cell's included, descends
+        assert _descending(entries, k)
+        assert all(list(row) == sorted(row, reverse=True) for row in rows)
+
+
+def test_dd_check_names_a_broken_row_past_the_first_chunk_of_a_block():
+    X = build(10)
+    cc = chain_complex(X)
+    block = max(X.kept.values(), key=len)
+    assert len(block) > _CHUNK
+    table = list(cc.table)
+    # two broken rows in the block's second chunk: the check names the first
+    first, later = block[_CHUNK + 5], block[_CHUNK + 300]
+    row = list(table[first])
+    row[0], row[1] = row[1], row[0]
+    table[first] = tuple(row)
+    table[later] = (table[later][0],) * len(table[later])
+    assert _first_nonzero_dd(table, cc.signs) == first
+    with pytest.raises(RuntimeError, match=f"cell {first} is nonzero"):
+        ChainComplex(X.kept, table, cc.signs)
+
+
+def test_a_one_entry_row_over_a_nonempty_row_is_not_passed():
+    # an "edge" with one endpoint: its row's one entry is a vertex, whose row is not empty
+    table = [(), (0,), (1,)]
+    assert not _run_pairs_up(table, {}, 2, 1, 1, [1])
+    assert _run_pairs_up(table, {}, 1, 1, 1, [0])
+    with pytest.raises(RuntimeError, match="cell 2 is nonzero"):
+        ChainComplex({-1: [0], 0: [1], 1: [2]}, table)
+
+
+def test_a_signed_cell_inside_a_run_is_summed_row_by_row():
+    X = build(7)
+    cc = chain_complex(X)
+    table = cc.table
+    # an edge in the middle of its run, and the first 2-cell above it
+    g = X.kept[1][len(X.kept[1]) // 2]
+    above = next(h for h in X.kept[2] if g in table[h])
+    [(start, rows)] = [(s, r) for s, _, r in _chunks(table) if s <= g < s + len(r)]
+    entries = list(chain.from_iterable(rows))
+    for values, broken in (((1, -1), None), ((-1, 1), above), ((1, 1), g)):
+        signs = {**cc.signs, g: values}
+        assert not _run_pairs_up(table, signs, start, len(rows), 2, entries)
+        assert _first_nonzero_dd(table, signs) == broken
+        if broken is None:
+            ChainComplex(X.kept, table, signs)
+        else:
+            with pytest.raises(RuntimeError, match=f"cell {broken} is nonzero"):
+                ChainComplex(X.kept, table, signs)
 
 
 @pytest.mark.parametrize("seed", range(40))
