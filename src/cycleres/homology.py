@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, KeysView, Sequence
 from enum import Enum
-from functools import cache
 from itertools import chain, combinations, groupby, islice, repeat
 from math import gcd
 from operator import gt, itemgetter
@@ -178,16 +177,23 @@ class ChainComplex:
                 raise ValueError(f"cell {g} needs one sign ±1 per entry of {list(table[g])}")
         # covers every row, so zip never cuts one short
         self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
-        # the dimensions that hold a signed cell: only their ranks look coefficients up
-        self._signed = {k for k, ids in bases.items() if any(g in ids for g in self.signs)}
         self._rows, self._coefficients = self._lead_first(self._verify_dd_zero())
+        # the dimensions that hold a row with explicit coefficients, signed or
+        # moved lead first: only their ranks look coefficients up
+        self._signed = {
+            k for k, ids in bases.items() if not self._coefficients.keys().isdisjoint(ids)
+        }
 
     def rank(self, k: int, field: Field | str, ids: Iterable[int] | None = None) -> int:
         """Rank over field of the boundaries of the k-cells with these ids (default ``bases[k]``).
 
         Every row is reduced; only ``reduced_betti`` skips rows by clearing.
+        Given ids, every row is read with its own coefficients, so they
+        need not be k-cells.
         """
-        return len(self._pivots(k, self.bases[k] if ids is None else ids, field, ()))
+        if ids is None:
+            return len(self._pivots(k, self.bases[k], field, ()))
+        return len(self._pivots(None, ids, field, ()))
 
     def reduced_betti(
         self, field: Field | str, kept: dict[int, Sequence[int]] | None = None
@@ -209,20 +215,22 @@ class ChainComplex:
         return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
 
     def _pivots(
-        self, k: int, ids: Iterable[int], field: Field | str, cleared: Collection[int]
+        self, k: int | None, ids: Iterable[int], field: Field | str, cleared: Collection[int]
     ) -> KeysView[int]:
         """Pivot ids over field of the boundaries of the k-cells ids not in cleared.
 
         The rows are ranked in place, gathered from the ids in one pass.
-        Over the rationals, a dimension without a signed cell passes the
-        alternating signs for every row and looks up no coefficient.
+        Over the rationals, a dimension k without explicit coefficients
+        (a signed row, or one given a lead-first copy) passes the
+        alternating signs for every row and looks up no coefficient; with
+        k None, every row's coefficients are looked up.
         """
         rows = self._rows
         if Field.coerce(field) is Field.GF2:
             # every coefficient is ±1, so odd
             return rank_gf2([rows[g] for g in ids if g not in cleared])
         alternating = self._alternating
-        if k not in self._signed:
+        if k is not None and k not in self._signed:
             return rank_int([rows[g] for g in ids if g not in cleared], repeat(alternating))
         ids = [g for g in ids if g not in cleared]
         coefficients = self._coefficients
@@ -256,11 +264,12 @@ class ChainComplex:
 
         The table is read in chunks of consecutive rows of one length
         (``_chunks``).  A chunk passes at once when ``_run_pairs_up``
-        holds on it, which is ``_pairs_up`` on each of its rows, none of
-        them signed.  Every other chunk is read row by row: an unsigned
-        row that pairs up passes as it stands, and a signed row, or one
-        that does not pair up, is summed over the integers by
-        ``_boundary_of_boundary``.  That loop is the only one that raises.
+        holds on it: no row or entry of it is signed, and the terms of dd
+        on each of its rows cancel in pairs by id.  Every other chunk is
+        read row by row, each row as a chunk of one: a row that passes
+        ``_run_pairs_up`` passes as it stands, and any other is summed
+        over the integers by ``_boundary_of_boundary``.  That loop is the
+        only one that raises.
         Returns the ids of the rows that do not start with their largest
         id; only a chunk whose rows do not all descend (``_descending``)
         is searched row by row for them.
@@ -271,7 +280,7 @@ class ChainComplex:
             entries = list(chain.from_iterable(rows))
             if not _run_pairs_up(table, signs, start, len(rows), k, entries):
                 for g, row in enumerate(rows, start):
-                    if g in signs or not _pairs_up(table, signs, row):
+                    if not _run_pairs_up(table, signs, g, 1, k, list(row)):
                         if any(self._boundary_of_boundary(g).values()):
                             raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
             if not _descending(entries, k):
@@ -309,13 +318,16 @@ def _run_pairs_up(
     k: int,
     entries: list[int],
 ) -> bool:
-    """Whether ``_pairs_up`` holds on each of count rows of k entries, with ids from start up.
+    """Whether dd = 0 on count rows of k entries, with ids from start up, follows from ids alone.
 
-    ``entries`` are the rows' entries, concatenated.  Also False when one
-    of the rows' ids is signed, or when an entry does not index the table
-    from 0 up, so that ``_verify_dd_zero`` reads such a chunk row by row.
-    With ``flat`` the concatenation of the rows the entries index, each
-    of k - 1 entries, row r's j-th entry's i-th entry sits at
+    ``entries`` are the rows' entries, concatenated.  It does when no row
+    and no entry is signed, every entry indexes the table from 0 up, each
+    entry's row has k - 1 entries, and ``table[row[j]][i] ==
+    table[row[i]][j - 1]`` for every row and every i < j: the pair's
+    signs are (-1)^(i + j) and (-1)^(i + j - 1), so it cancels.  A
+    simplicial face's row, which drops its i-th vertex or diagonal at
+    index i, pairs up.  With ``flat`` the concatenation of the rows the
+    entries index, row r's j-th entry's i-th entry sits at
     r·w + j·(k - 1) + i, with w = k·(k - 1); so one slice of stride w
     reads one term of a pair on every row at once.  True for k = 0.
     """
@@ -343,45 +355,6 @@ def _run_pairs_up(
 def _descending(entries: list[int], k: int) -> bool:
     """Whether each row of k entries, concatenated in ``entries``, strictly descends."""
     return all(all(map(gt, entries[i::k], entries[i + 1 :: k])) for i in range(k - 1))
-
-
-def _pairs_up(
-    table: Sequence[Sequence[int]], signs: dict[int, Sequence[int]], row: Sequence[int]
-) -> bool:
-    """Whether dd = 0 on an unsigned row follows from the ids in the table alone.
-
-    With k = len(row) and the cells of the row unsigned, each with a row of
-    k - 1 entries, the terms of dd pair up when ``table[row[j]][i] ==
-    table[row[i]][j - 1]`` for every i < j: the pair's signs are
-    (-1)^(i + j) and (-1)^(i + j - 1), so it cancels.  A simplicial face's
-    row, which drops its i-th vertex or diagonal at index i, pairs up.
-    False when an index is out of range.
-    """
-    try:
-        lower = [table[lo] for lo in row]
-    except IndexError:
-        return False
-    k = len(row)
-    if {*map(len, lower)} - {k - 1} or not signs.keys().isdisjoint(row):
-        return False
-    pairing = _pairing(k)
-    if pairing is None:
-        return True
-    flat = tuple(chain.from_iterable(lower))
-    return pairing[0](flat) == pairing[1](flat)
-
-
-@cache
-def _pairing(k: int) -> tuple[itemgetter, itemgetter] | None:
-    """Getters of the two terms of each pair of ``_pairs_up`` for a row of k entries.
-
-    The row's k lower rows of k - 1 entries are read as one flat tuple,
-    where ``table[row[j]][i]`` sits at j * (k - 1) + i.  None below k = 2,
-    where no terms pair.
-    """
-    first = [j * (k - 1) + i for j in range(1, k) for i in range(j)]
-    second = [i * (k - 1) + j - 1 for j in range(1, k) for i in range(j)]
-    return (itemgetter(*first), itemgetter(*second)) if first else None
 
 
 def _interior_signs(rows: list[Sequence[int]]) -> list[int]:

@@ -15,7 +15,6 @@ from cycleres.homology import (
     Field,
     _chunks,
     _descending,
-    _pairs_up,
     _run_pairs_up,
     chain_complex,
     is_acyclic,
@@ -405,12 +404,21 @@ _SEGMENT_TABLE = [[], [0], [0], [1, 2]]
 # hand-made rows that do not start with their largest id: the hollow
 # triangle's edges ascend, and each square of the pillow (two squares glued
 # along their boundary, a 2-sphere) has its largest edge, 8, in the middle,
-# with signs that differ by position between the two squares
+# with signs that differ by position between the two squares; three of the
+# hollow tetrahedron's unsigned triangles have their largest edge in the
+# middle or last, where moving it first changes more than the row's sign
 _TRIANGLE = {-1: [0], 0: [1, 2, 3], 1: [4, 5, 6]}
 _TRIANGLE_TABLE = [(), (0,), (0,), (0,), (1, 2), (2, 3), (1, 3)]
 _PILLOW = {-1: [0], 0: [1, 2, 3, 4], 1: [5, 6, 7, 8], 2: [9, 10]}
 _PILLOW_TABLE = [(), *[(0,)] * 4, (2, 1), (3, 2), (4, 3), (4, 1), (5, 8, 6, 7), (7, 5, 8, 6)]
 _PILLOW_SIGNS = {9: (1, -1, 1, 1), 10: (1, 1, -1, 1)}
+_TETRAHEDRON = {-1: [0], 0: [1, 2, 3, 4], 1: [5, 6, 7, 8, 9, 10], 2: [11, 12, 13, 14]}
+_TETRAHEDRON_TABLE = [
+    (),
+    *[(0,)] * 4,
+    *[(2, 1), (3, 2), (3, 1), (4, 1), (4, 2), (4, 3)],
+    *[(6, 7, 5), (9, 8, 5), (10, 8, 7), (10, 9, 6)],
+]
 
 
 @pytest.mark.parametrize("field", Field)
@@ -423,6 +431,12 @@ def test_a_row_is_led_by_its_largest_id_wherever_it_sits(field):
     assert pillow.reduced_betti(field) == [0, 0, 1]
     # the table keeps its rows in the order given
     assert pillow.table[9] == (5, 8, 6, 7) and pillow.signs == _PILLOW_SIGNS
+    tetrahedron = ChainComplex(_TETRAHEDRON, _TETRAHEDRON_TABLE)
+    assert [tetrahedron.rank(k, field) for k in range(3)] == [1, 3, 3]
+    assert tetrahedron.reduced_betti(field) == [0, 0, 1]
+    # given ids, a rank reads each row with its own coefficients, whatever k says
+    assert tetrahedron.rank(0, field, [11, 12, 13, 14]) == 3
+    assert tetrahedron.table[11] == (6, 7, 5) and not tetrahedron.signs
 
 
 def test_ranking_leaves_the_shared_facet_table_as_built():
@@ -459,6 +473,24 @@ def _first_nonzero_dd(table, signs):
         if any(acc.values()):
             return g
     return None
+
+
+def _pairs_up(table, signs, row):
+    """Whether the terms of dd on an unsigned row cancel in pairs by id, read one row at a time.
+
+    The oracle of ``_run_pairs_up``: with k = len(row), each cell of the
+    row unsigned and with a row of k - 1 entries, ``table[row[j]][i] ==
+    table[row[i]][j - 1]`` for every i < j.  False when an index is out of
+    range.
+    """
+    try:
+        lower = [table[lo] for lo in row]
+    except IndexError:
+        return False
+    k = len(row)
+    if any(len(r) != k - 1 for r in lower) or any(lo in signs for lo in row):
+        return False
+    return all(lower[j][i] == lower[i][j - 1] for j in range(1, k) for i in range(j))
 
 
 @pytest.mark.parametrize("n", range(4, 10))
