@@ -407,7 +407,7 @@ class LabeledComplex:
         """
         return sorted((lo, hi) for hi in self.ids() for lo in self._below[hi])
 
-    def equal_label_covers(self) -> Iterator[tuple[int, int]]:
+    def equal_label_covers(self, skip: bytearray | None = None) -> Iterator[tuple[int, int]]:
         """The pairs of ``covers`` whose faces have equal labels, yielded in sorted order.
 
         A cover joins dimension k to k + 1 and ids ascend block by block,
@@ -415,14 +415,25 @@ class LabeledComplex:
         pairs are read from the facet rows of one block at a time, into
         up-lists keyed by lower id that reading in id order keeps sorted;
         only one block's pairs are held at once.
+
+        ``skip``, a bytearray indexed by face id (None marks nothing),
+        leaves out every pair with a marked face.  It is read when a
+        block's rows are read, that is after the pairs of the block before
+        have all been yielded, so a face the caller marks while taking one
+        block's pairs is left out of every later block, but may still be
+        in pairs of its own block that were collected already.
         """
         labels, below = self.labels, self._below
+        if skip is None:
+            skip = bytes(len(labels))
         for ids in self.kept.values():
             up: dict[int, list[int]] = defaultdict(list)
             for hi in ids:
+                if skip[hi]:
+                    continue
                 label = labels[hi]
                 for lo in below[hi]:
-                    if labels[lo] == label:
+                    if labels[lo] == label and not skip[lo]:
                         up[lo].append(hi)
             for lo in sorted(up):
                 for hi in up[lo]:

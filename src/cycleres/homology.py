@@ -366,25 +366,44 @@ def _interior_signs(rows: list[Sequence[int]]) -> list[int]:
     propagated across the flip graph: every ridge lies in exactly two
     triangulations and their induced coefficients must cancel.  Failure
     of either property is an internal consistency error.
+
+    One dict pairs each ridge's owners: it holds the ridge's first owner,
+    as twice its position plus the parity of the ridge's index there,
+    until the second owner is met, and then -1, so that a third owner
+    raises at once.  A ridge left with one owner raises after the pass.
+    An edge of the flip graph is stored as twice the other owner's
+    position, plus 1 when the two owners' signs must differ: the
+    coefficients (-1)^i and (-1)^j cancel when sign * (-1)^i = -sign'
+    * (-1)^j, so the signs differ exactly when i and j have one parity.
     """
-    ridge_map: dict[int, list[tuple[int, int]]] = {}
+    first: dict[int, int] = {}
+    adjacent: list[list[int]] = [[] for _ in rows]
     for pos, row in enumerate(rows):
+        edges = adjacent[pos]
         for i, ridge in enumerate(row):
-            ridge_map.setdefault(ridge, []).append((pos, -1 if i % 2 else 1))
-    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in rows]
-    for owners in ridge_map.values():
-        if len(owners) != 2:
-            raise RuntimeError(f"ridge shared by {len(owners)} facets; expected exactly 2")
-        (f1, s1), (f2, s2) = owners
-        adjacent[f1].append((f2, s1, s2))
-        adjacent[f2].append((f1, s2, s1))
+            here = 2 * pos + (i & 1)
+            there = first.get(ridge)
+            if there is None:  # its first owner
+                first[ridge] = here
+                continue
+            if there < 0:
+                raise _ridge_error(rows, ridge)
+            first[ridge] = -1
+            differ = 1 ^ (here ^ there) & 1
+            edges.append(there - (there & 1) + differ)
+            adjacent[there >> 1].append(here - (here & 1) + differ)
+    for ridge, there in first.items():
+        if there >= 0:
+            raise _ridge_error(rows, ridge)
     sign = [0] * len(rows)
     sign[0] = 1
     queue = [0]
     while queue:
         pos = queue.pop()
-        for other, s_here, s_there in adjacent[pos]:
-            forced = -sign[pos] * s_here * s_there
+        here = sign[pos]
+        for edge in adjacent[pos]:
+            other = edge >> 1
+            forced = -here if edge & 1 else here
             if not sign[other]:
                 sign[other] = forced
                 queue.append(other)
@@ -393,6 +412,12 @@ def _interior_signs(rows: list[Sequence[int]]) -> list[int]:
     if not all(sign):
         raise RuntimeError("flip graph is not connected")
     return sign
+
+
+def _ridge_error(rows: list[Sequence[int]], ridge: int) -> RuntimeError:
+    """The error for a ridge that does not lie in exactly two triangulations, counted."""
+    owners = sum(ridge in row for row in rows)
+    return RuntimeError(f"ridge shared by {owners} facets; expected exactly 2")
 
 
 def chain_complex(X: LabeledComplex) -> ChainComplex:

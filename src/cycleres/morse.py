@@ -296,12 +296,16 @@ def n7_extension_counts() -> dict[str, int]:
 def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
     """Add equal-label cover pairs in canonical order while staying acyclic.
 
-    The candidates are ``X.equal_label_covers()``, in its sorted order.
+    The candidates are ``X.equal_label_covers()``, in its sorted order,
+    with the live array of matched faces as its skip mask, so a block's
+    pairs through a face matched before the block is read are never
+    collected; the ones through a face matched since are passed over here.
     One pass suffices: matched faces never free up, and a rejected pair's
     cycle only gains edges later, so no skipped candidate becomes addable.
     m must be an acyclic matching of X whose pairs keep their labels
     (d2_matching(X) and the empty matching are); a pair that joins two
-    labels, or holds an id outside X's face list, raises ValueError.  Then
+    labels, holds an id outside X's face list or shares a face with
+    another pair raises ValueError.  Then
     any cycle a new pair closes passes through its lower face and keeps
     that face's label throughout, so the cycle search after each addition
     starts from that face alone and follows only faces with its label.  It
@@ -334,11 +338,15 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
                 f"pair ({lo},{hi}) does not keep a label of X: greedy_extend"
                 " needs a label-preserving matching"
             )
+        if matched[lo] or matched[hi]:
+            raise ValueError(f"pair ({lo},{hi}) shares a face with another pair of the matching")
         match(lo, hi)
     step = _pair_successors(match_at_lower, below, labels)
     color = bytearray(size)
-    for lo, hi in X.equal_label_covers():
-        if matched[lo] or matched[hi]:
+    pairs = list(m.pairs)
+    for pair in X.equal_label_covers(skip=matched):
+        lo, hi = pair
+        if matched[lo] or matched[hi]:  # marked since its block was read
             continue
         if entered[lo]:
             match_at_lower[lo] = hi
@@ -346,6 +354,6 @@ def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:
                 match_at_lower[lo] = None
                 continue
         match(lo, hi)
-    pairs = [(lo, hi) for lo, hi in enumerate(match_at_lower) if hi is not None]
+        pairs.append(pair)
     del match_at_lower, matched, entered, step, color, match
     return MorseMatching(pairs)

@@ -16,7 +16,6 @@ does (checked once).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -181,6 +180,7 @@ def verify_supports_resolution(
     raising; raises ValueError only on out-of-range n, workers < 1 or a field
     that is neither a Field nor one of the names 'gf2' and 'rational'.  At most
     os.cpu_count() worker processes run; the verdicts do not depend on how many.
+    ``concurrent.futures`` is imported only when more than one worker runs.
     """
     field = Field.coerce(field)
     if not 4 <= n <= max_n:
@@ -196,6 +196,9 @@ def verify_supports_resolution(
         if workers == 1:
             verdicts = map(partial(_check_mask, build(n), field), range(total))
         else:
+            # imported here, so that no other call pays for loading the pool
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(
                 ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(n, field))
             )

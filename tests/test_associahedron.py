@@ -4,7 +4,7 @@ import re
 import sys
 import tracemalloc
 import weakref
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 
@@ -441,6 +441,43 @@ def test_equal_label_covers_match_the_covers_oracle():
             (lo, hi) for lo, hi in R.covers if labels[lo] == labels[hi]
         ]
 
+
+
+def test_an_empty_skip_mask_leaves_the_stream_as_it_is():
+    for R in _complexes(6):
+        skip = bytearray(len(R.labels))
+        assert list(R.equal_label_covers(skip=skip)) == list(R.equal_label_covers())
+
+
+def test_the_skip_mask_leaves_out_every_pair_with_a_marked_face():
+    X = build(8)
+    rng = random.Random(8)
+    for Y in (X, boundary_complex(X), restrict(X, 0b10111011)):
+        skip = bytearray(rng.random() < 0.3 for _ in Y.labels)
+        assert list(Y.equal_label_covers(skip=skip)) == [
+            (lo, hi) for lo, hi in Y.equal_label_covers() if not skip[lo] and not skip[hi]
+        ]
+
+
+def test_the_skip_mask_is_read_when_each_block_is_read():
+    # marking each yielded upper face leaves it out of the next block's pairs,
+    # where it is a lower face, but not out of its own block's pairs
+    X = build(8)
+    skip = bytearray(len(X.labels))
+    got = []
+    for pair in X.equal_label_covers(skip=skip):
+        got.append(pair)
+        skip[pair[1]] = 1
+    marked: set[int] = set()
+    want = []
+    for _, block in groupby(X.equal_label_covers(), key=lambda pair: X.faces[pair[1]].dim):
+        seen = set(marked)
+        for lo, hi in block:
+            if lo not in seen and hi not in seen:
+                want.append((lo, hi))
+                marked.add(hi)
+    assert got == want
+    assert len({hi for _, hi in got}) < len(got)  # an upper face in two pairs of its block
 
 
 def test_equal_label_covers_hold_one_block_at_a_time():

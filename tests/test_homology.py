@@ -15,6 +15,7 @@ from cycleres.homology import (
     Field,
     _chunks,
     _descending,
+    _interior_signs,
     _run_pairs_up,
     chain_complex,
     is_acyclic,
@@ -259,6 +260,59 @@ def test_interior_column_signs_cancel_over_rationals():
     assert top == len(X.faces) - 1
     assert sorted(abs(c) for c in cc.signs[top]) == [1] * 42
     assert set(cc.signs[top]) == {1, -1}
+
+
+def _interior_signs_by_owner_lists(rows):
+    """Signs over the flip graph from a list of owners per ridge, checked to be two."""
+    owners = {}
+    for pos, row in enumerate(rows):
+        for i, ridge in enumerate(row):
+            owners.setdefault(ridge, []).append((pos, (-1) ** i))
+    adjacent = [[] for _ in rows]
+    for pair in owners.values():
+        assert len(pair) == 2
+        (f1, s1), (f2, s2) = pair
+        adjacent[f1].append((f2, s1 * s2))
+        adjacent[f2].append((f1, s1 * s2))
+    sign = [0] * len(rows)
+    sign[0] = 1
+    queue = [0]
+    while queue:
+        pos = queue.pop()
+        for other, s in adjacent[pos]:
+            if not sign[other]:
+                sign[other] = -sign[pos] * s
+                queue.append(other)
+            assert sign[other] == -sign[pos] * s
+    assert all(sign)
+    return sign
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_interior_signs_match_the_owner_list_oracle(n):
+    table = build(n).covers_below()
+    rows = [table[g] for g in table[-1]]
+    assert _interior_signs(rows) == _interior_signs_by_owner_lists(rows)
+
+
+def test_interior_signs_reject_a_ridge_not_in_exactly_two_facets():
+    table = build(6).covers_below()
+    rows = [table[g] for g in table[-1]]
+    with pytest.raises(RuntimeError, match=r"ridge shared by 3 facets; expected exactly 2"):
+        _interior_signs(rows + rows[:1])
+    with pytest.raises(RuntimeError, match=r"ridge shared by 4 facets; expected exactly 2"):
+        _interior_signs(rows + rows[:1] + rows[:1])
+    with pytest.raises(RuntimeError, match=r"ridge shared by 1 facets; expected exactly 2"):
+        _interior_signs(rows[:-1])
+
+
+def test_interior_signs_reject_an_unorientable_or_disconnected_flip_graph():
+    # ridge 1 at indices 0 and 0, so the signs differ; ridges 2 and 3 at
+    # indices 1 and 2, so the signs agree: no choice satisfies both
+    with pytest.raises(RuntimeError, match="orientation propagation over the flip graph failed"):
+        _interior_signs([(1, 2, 3), (1, 3, 2)])
+    with pytest.raises(RuntimeError, match="flip graph is not connected"):
+        _interior_signs([(1, 2), (1, 2), (3, 4), (3, 4)])
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -10,6 +10,7 @@ from cycleres.morse import (
     critical_cells,
     d2_matching,
     _find_cycle,
+    _pair_successors,
     greedy_extend,
     n7_extension_counts,
     validate,
@@ -299,6 +300,98 @@ def _greedy_extend_unfiltered(m, X):
         else:
             uppers.add(hi)
     return MorseMatching(tuple(match_at_lower.items()))
+
+
+def _greedy_extend_streaming_every_cover(m, X):
+    """greedy_extend as it was before its stream skipped matched faces.
+
+    It reads every equal-label cover, passes over the pairs with a matched
+    face itself, and makes its pairs from ``match_at_lower``.
+    """
+    labels, below = X.labels, X.covers_below()
+    size = len(labels)
+    match_at_lower = [None] * size
+    matched = bytearray(size)
+    entered = bytearray(size)
+
+    def match(lo, hi):
+        match_at_lower[lo] = hi
+        matched[lo] = matched[hi] = 1
+        for b in below[hi]:
+            if b != lo and labels[b] == labels[hi]:
+                entered[b] = 1
+
+    for lo, hi in m.pairs:
+        match(lo, hi)
+    step = _pair_successors(match_at_lower, below, labels)
+    color = bytearray(size)
+    for lo, hi in X.equal_label_covers():
+        if matched[lo] or matched[hi]:
+            continue
+        if entered[lo]:
+            match_at_lower[lo] = hi
+            if _find_cycle((lo,), step, color) is not None:
+                match_at_lower[lo] = None
+                continue
+        match(lo, hi)
+    return MorseMatching([(lo, hi) for lo, hi in enumerate(match_at_lower) if hi is not None])
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_greedy_extend_matches_the_stream_of_every_cover(n):
+    X = build(n)
+    for m in (d2_matching(X), MorseMatching(())):
+        assert greedy_extend(m, X).pairs == _greedy_extend_streaming_every_cover(m, X).pairs
+
+
+def test_greedy_extend_rejects_a_matching_that_uses_a_face_twice():
+    # two label-keeping covers with a face in common; the later one is named
+    first, *rest = build(6).equal_label_covers()
+    other = next(pair for pair in rest if set(pair) & set(first))
+    X = build(6)
+    with pytest.raises(ValueError, match=rf"pair \({other[0]},{other[1]}\) shares a face"):
+        greedy_extend(MorseMatching((first, other)), X)
+
+
+def _label_matchings_with_cycles(X):
+    """Per label, its equal-label covers taken greedily: no acyclicity check, no face twice."""
+    by_label = defaultdict(list)
+    for lo, hi in X.equal_label_covers():
+        by_label[X.labels[hi]].append((lo, hi))
+    for _, covers in sorted(by_label.items()):
+        used, pairs = set(), []
+        for lo, hi in covers:
+            if lo not in used and hi not in used:
+                used.update((lo, hi))
+                pairs.append((lo, hi))
+        yield MorseMatching(pairs)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_label_keeping_search_gives_the_unfiltered_verdict(n):
+    X = build(n)
+    labels, below = X.labels, X.covers_below()
+    cyclic = 0
+    for m in (*_label_matchings_with_cycles(X), greedy_extend(d2_matching(X), X)):
+        match_at_lower = [None] * len(labels)
+        for lo, hi in m.pairs:
+            match_at_lower[lo] = hi
+        lowers = [lo for lo, _ in m.pairs]
+        unfiltered = _find_cycle(
+            lowers, _pair_successors(match_at_lower, below), bytearray(len(labels))
+        )
+        kept = _find_cycle(
+            lowers, _pair_successors(match_at_lower, below, labels), bytearray(len(labels))
+        )
+        assert (kept is None) == (unfiltered is None)
+        if kept is not None:
+            assert len({labels[g] for g in kept}) == 1
+        # the pairs are label-keeping covers, each face used once, so only
+        # validate's acyclicity check can fail
+        assert validate(m, X).ok == (unfiltered is None)
+        cyclic += unfiltered is not None
+    # n = 8 is the first n at which a label's covers, taken without the check, close a cycle
+    assert bool(cyclic) == (n == 8)
 
 
 def test_find_cycle_leaves_its_colour_array_clear():

@@ -1,3 +1,9 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cycleres import resolution
@@ -141,7 +147,8 @@ def test_workers_capped_at_cpu_count(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(resolution, "ProcessPoolExecutor", InProcessPool)
+    # the sweep imports the pool class when it needs one, so patch it where it lives
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(resolution, "_worker_check", None)
     monkeypatch.setattr(resolution.os, "cpu_count", lambda: 2)
     serial = verify_supports_resolution(4)
@@ -151,6 +158,23 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(resolution.os, "cpu_count", lambda: None)
     assert verify_supports_resolution(4, workers=3) == serial
     assert pools == [2, 2]
+
+
+def test_no_command_loads_the_process_pool_on_import():
+    # only verify-resolution --threads K > 1 runs a pool, and it imports one then
+    src = str(Path(resolution.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    heavy = ("concurrent.futures", "multiprocessing", "logging", "socket")
+    code = f"import sys, cycleres.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_progress_callback_monotone():
