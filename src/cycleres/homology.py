@@ -374,7 +374,7 @@ def _interior_signs(rows: list[Sequence[int]]) -> list[int]:
     An edge of the flip graph is stored as twice the other owner's
     position, plus 1 when the two owners' signs must differ: the
     coefficients (-1)^i and (-1)^j cancel when sign * (-1)^i = -sign'
-    * (-1)^j, so the signs differ exactly when i and j have one parity.
+    * (-1)^j, so the signs differ exactly when i and j have the same parity.
     """
     first: dict[int, int] = {}
     adjacent: list[list[int]] = [[] for _ in rows]
@@ -400,10 +400,10 @@ def _interior_signs(rows: list[Sequence[int]]) -> list[int]:
     queue = [0]
     while queue:
         pos = queue.pop()
-        here = sign[pos]
+        own = sign[pos]
         for edge in adjacent[pos]:
             other = edge >> 1
-            forced = -here if edge & 1 else here
+            forced = -own if edge & 1 else own
             if not sign[other]:
                 sign[other] = forced
                 queue.append(other)

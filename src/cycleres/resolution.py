@@ -180,7 +180,6 @@ def verify_supports_resolution(
     raising; raises ValueError only on out-of-range n, workers < 1 or a field
     that is neither a Field nor one of the names 'gf2' and 'rational'.  At most
     os.cpu_count() worker processes run; the verdicts do not depend on how many.
-    ``concurrent.futures`` is imported only when more than one worker runs.
     """
     field = Field.coerce(field)
     if not 4 <= n <= max_n:

@@ -346,9 +346,9 @@ def test_greedy_extend_matches_the_stream_of_every_cover(n):
 
 def test_greedy_extend_rejects_a_matching_that_uses_a_face_twice():
     # two label-keeping covers with a face in common; the later one is named
-    first, *rest = build(6).equal_label_covers()
-    other = next(pair for pair in rest if set(pair) & set(first))
     X = build(6)
+    first, *rest = X.equal_label_covers()
+    other = next(pair for pair in rest if set(pair) & set(first))
     with pytest.raises(ValueError, match=rf"pair \({other[0]},{other[1]}\) shares a face"):
         greedy_extend(MorseMatching((first, other)), X)
 

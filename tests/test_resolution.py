@@ -165,7 +165,10 @@ def test_no_command_loads_the_process_pool_on_import():
     src = str(Path(resolution.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     heavy = ("concurrent.futures", "multiprocessing", "logging", "socket")
-    code = f"import sys, cycleres.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    code = (
+        "import sys; before = set(sys.modules); import cycleres.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules and m not in before])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
