@@ -7,18 +7,18 @@ shortcuts.
 
 A chain complex is a facet table, one integer object per face list.  A
 face is its id, its position in the face list, and that id is its row:
-row g lists the ids of the cells that cell g covers, and its i-th entry
-has coefficient (-1)^i unless the cell has explicit ±1 signs (in A_n
-only the interior cell has).  For A_n the table is ``covers_below()``
-itself, not a copy.  dd = 0 is checked once over the integers, a run of
-rows of one length at a time: a run of unsigned rows whose terms cancel
-in pairs by id passes with one slice comparison per pair of positions,
-and every other row is summed.  Each rank reads the table's rows in
-place, keyed by their lead, the largest id.  Every row of A_n holds its
-lead first (the interior cell's row is stored in descending order); the
-run pass finds any row that does not, and only such a row is given a
-lead-first copy, once, when the complex is made.  A row whose lead
-starts no pivot becomes that pivot as it stands.  Only a row that meets
+row g lists the ids of the cells that cell g covers, in strictly
+descending order, and its i-th entry has coefficient (-1)^i unless the
+cell has explicit ±1 signs (in A_n only the interior cell has).  For
+A_n the table is ``covers_below()`` itself, not a copy.  The row order
+and dd = 0 are checked once, over the integers, a run of rows of one
+length at a time: a row that does not descend, or that holds an id
+outside the table, raises ValueError; a run of unsigned rows whose terms
+cancel in pairs by id passes with one slice comparison per pair of
+positions, and every other row is summed.  Each rank reads the table's
+rows in place, keyed by their lead, the largest id, which is their
+first.  A row whose lead starts no pivot becomes that pivot as it
+stands.  Only a row that meets
 a pivot is copied, into an id set for GF(2) or an ``{id: ±1}`` dict for
 the rationals, and reduced; a pivot is copied when a reduction first
 reads it (the "emergent pairs" of Bauer, "Ripser", 2021).  A view (a
@@ -151,14 +151,15 @@ class ChainComplex:
     A cell is its id, its row in ``table``.  ``bases[k]`` lists the ids
     of the cells in dimension k; together the bases must hold every id
     0..len(table) - 1 exactly once (ValueError otherwise).  ``table[g]``
-    lists the ids of the cells in cell g's boundary; its i-th entry has
-    coefficient (-1)^i, or ``signs[g][i]`` when g has explicit signs,
-    which must be ±1, one per entry (ValueError otherwise).  The identity
+    lists the ids of the cells in cell g's boundary in strictly
+    descending order, each an id of the table (ValueError otherwise);
+    its i-th entry has coefficient (-1)^i, or ``signs[g][i]`` when g has
+    explicit signs, which must be keyed by an id of the table and be ±1,
+    one per entry (ValueError otherwise).  The identity
     boundary-of-boundary = 0 is verified once, over the integers, at
     construction, which implies it in every field (RuntimeError names the
     first cell where it fails); each rank takes its field as an argument
-    and reads the rows in place, each row that does not start with its
-    largest id from a lead-first copy made at construction.
+    and reads the table's rows in place.
     """
 
     def __init__(
@@ -173,16 +174,15 @@ class ChainComplex:
         if sorted(g for ids in bases.values() for g in ids) != list(range(len(table))):
             raise ValueError(f"the bases must hold each id 0..{len(table) - 1} exactly once")
         for g, s in self.signs.items():
+            if g not in range(len(table)):
+                raise ValueError(f"signs are keyed by {g!r}, not an id 0..{len(table) - 1}")
             if len(s) != len(table[g]) or any(c != 1 and c != -1 for c in s):
                 raise ValueError(f"cell {g} needs one sign ±1 per entry of {list(table[g])}")
         # covers every row, so zip never cuts one short
         self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
-        self._rows, self._coefficients = self._lead_first(self._verify_dd_zero())
-        # the dimensions that hold a row with explicit coefficients, signed or
-        # moved lead first: only their ranks look coefficients up
-        self._signed = {
-            k for k, ids in bases.items() if not self._coefficients.keys().isdisjoint(ids)
-        }
+        self._verify_dd_zero()
+        # the dimensions that hold a signed cell: only their ranks look signs up
+        self._signed = {k for k, ids in bases.items() if not self.signs.keys().isdisjoint(ids)}
 
     def rank(self, k: int, field: Field | str, ids: Iterable[int] | None = None) -> int:
         """Rank over field of the boundaries of the k-cells with these ids (default ``bases[k]``).
@@ -219,73 +219,56 @@ class ChainComplex:
     ) -> KeysView[int]:
         """Pivot ids over field of the boundaries of the k-cells ids not in cleared.
 
-        The rows are ranked in place, gathered from the ids in one pass.
-        Over the rationals, a dimension k without explicit coefficients
-        (a signed row, or one given a lead-first copy) passes the
-        alternating signs for every row and looks up no coefficient; with
-        k None, every row's coefficients are looked up.
+        The table's rows are ranked in place, gathered from the ids in
+        one pass.  Over the rationals, a dimension k without a signed
+        cell passes the alternating signs for every row and looks up no
+        sign; with k None, every row's signs are looked up, since the
+        ids may hold a signed cell of any dimension.
         """
-        rows = self._rows
+        table = self.table
         if Field.coerce(field) is Field.GF2:
             # every coefficient is ±1, so odd
-            return rank_gf2([rows[g] for g in ids if g not in cleared])
+            return rank_gf2([table[g] for g in ids if g not in cleared])
         alternating = self._alternating
         if k is not None and k not in self._signed:
-            return rank_int([rows[g] for g in ids if g not in cleared], repeat(alternating))
+            return rank_int([table[g] for g in ids if g not in cleared], repeat(alternating))
         ids = [g for g in ids if g not in cleared]
-        coefficients = self._coefficients
-        return rank_int([rows[g] for g in ids], [coefficients.get(g, alternating) for g in ids])
+        signs = self.signs
+        return rank_int([table[g] for g in ids], [signs.get(g, alternating) for g in ids])
 
-    def _lead_first(
-        self, moved: list[int]
-    ) -> tuple[Sequence[Sequence[int]], dict[int, Sequence[int]]]:
-        """The rows the kernels rank, each led by its largest id, and their explicit coefficients.
-
-        ``moved`` lists the ids of the rows that do not start with their
-        largest id.  The rows are the table itself when there is none, as
-        in A_n; otherwise a list of the table's rows in which each moved
-        row is replaced by a copy sorted in descending order.  The
-        coefficients are ``signs``, with the coefficients of each replaced
-        row in its new order.
-        """
-        table, signs, alternating = self.table, self.signs, self._alternating
-        if not moved:
-            return table, signs
-        rows, coefficients = list(table), dict(signs)
-        for g in moved:
-            row, values = table[g], coefficients.get(g, alternating)
-            order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
-            rows[g] = tuple(row[i] for i in order)
-            coefficients[g] = tuple(values[i] for i in order)
-        return rows, coefficients
-
-    def _verify_dd_zero(self) -> list[int]:
-        """Raise RuntimeError at the first cell whose boundary of boundary is nonzero.
+    def _verify_dd_zero(self) -> None:
+        """Check the row order and raise RuntimeError at the first cell whose dd is nonzero.
 
         The table is read in chunks of consecutive rows of one length
-        (``_chunks``).  A chunk passes at once when ``_run_pairs_up``
-        holds on it: no row or entry of it is signed, and the terms of dd
-        on each of its rows cancel in pairs by id.  Every other chunk is
+        (``_chunks``), in table order.  A chunk whose rows do not all
+        strictly descend (``_descending``) raises ValueError naming its
+        first such row, before its dd is read.  A chunk passes at once
+        when ``_run_pairs_up`` holds on it: no row or entry of it is
+        signed, every entry is an id of the table, and the terms of dd on
+        each of its rows cancel in pairs by id.  Every other chunk is
         read row by row, each row as a chunk of one: a row that passes
-        ``_run_pairs_up`` passes as it stands, and any other is summed
-        over the integers by ``_boundary_of_boundary``.  That loop is the
-        only one that raises.
-        Returns the ids of the rows that do not start with their largest
-        id; only a chunk whose rows do not all descend (``_descending``)
-        is searched row by row for them.
+        ``_run_pairs_up`` passes as it stands; any other raises
+        ValueError if it holds an id outside the table, and is otherwise
+        summed over the integers by ``_boundary_of_boundary``.  That loop
+        is the only one that raises RuntimeError.
         """
         table, signs = self.table, self.signs
-        moved: list[int] = []
         for start, k, rows in _chunks(table):
             entries = list(chain.from_iterable(rows))
+            if not _descending(entries, k):
+                g = next(g for g, row in enumerate(rows, start) if not _descending(row, k))
+                raise ValueError(f"cell {g}'s row {list(table[g])} does not strictly descend")
             if not _run_pairs_up(table, signs, start, len(rows), k, entries):
                 for g, row in enumerate(rows, start):
                     if not _run_pairs_up(table, signs, g, 1, k, list(row)):
+                        # the row descends: its first id is its largest
+                        if row[-1] < 0 or row[0] >= len(table):
+                            raise ValueError(
+                                f"cell {g}'s row {list(row)} holds an id outside "
+                                f"0..{len(table) - 1}"
+                            )
                         if any(self._boundary_of_boundary(g).values()):
                             raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
-            if not _descending(entries, k):
-                moved += [g for g, row in enumerate(rows, start) if row[0] != max(row)]
-        return moved
 
     def _boundary_of_boundary(self, g: int) -> dict[int, int]:
         """The boundary of the boundary of cell g over the integers, as ``{id: coefficient}``."""
@@ -352,7 +335,7 @@ def _run_pairs_up(
     )
 
 
-def _descending(entries: list[int], k: int) -> bool:
+def _descending(entries: Sequence[int], k: int) -> bool:
     """Whether each row of k entries, concatenated in ``entries``, strictly descends."""
     return all(all(map(gt, entries[i::k], entries[i + 1 :: k])) for i in range(k - 1))
 
@@ -426,8 +409,8 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
     Its table is the face list's own ``covers_below()``: a simplicial
     face's row drops its i-th diagonal at index i, and only the interior
     cell gets explicit signs, from ``_interior_signs``, in its row's
-    descending id order.  Every row leads with its largest id, so the
-    kernels read the table itself.  Its bases are the
+    descending id order.  Every row strictly descends, as ``ChainComplex``
+    requires, so the kernels read the table itself.  Its bases are the
     face list's dimension blocks, its ``kept``.  A view gets its face
     list's complex, and every complex ranks it at the ids ``X.kept``.
     The complex is made, and checked for dd = 0 over the integers, on the
@@ -450,7 +433,10 @@ def simplicial_reduced_betti(facets: Iterable[Iterable], field: Field | str) -> 
     Vertices may be any sortable hashables.  Returns degrees 0..top; the
     complex consisting of the empty face alone returns [].  Cells are
     numbered by size, then lexicographically, and a cell's row drops its
-    i-th vertex at index i.
+    i-th vertex at index i.  So each row strictly descends, as
+    ``ChainComplex`` requires: for i < j, the face that drops the i-th
+    vertex first differs from the one that drops the j-th at index i,
+    where it holds the larger (i + 1)-th vertex, so its id is larger.
     """
     closure: set[tuple] = {()}
     for f in map(sorted, facets):

@@ -348,9 +348,6 @@ def test_chain_complex_reads_the_facet_table_in_place():
     finally:
         tracemalloc.stop()
     assert cc.table is X.covers_below()
-    # every row, the interior cell's included, leads with its largest id,
-    # so the kernels rank the table itself, with no list of moved rows
-    assert cc._rows is cc.table and cc._coefficients is cc.signs
     assert held < built / 4, (held, built)
 
 
@@ -452,45 +449,69 @@ def test_simplicial_reduced_betti_known_spaces():
 
 
 _SEGMENT = {-1: [0], 0: [1, 2], 1: [3]}
-_SEGMENT_TABLE = [[], [0], [0], [1, 2]]
+_SEGMENT_TABLE = [[], [0], [0], [2, 1]]
 
 
-# hand-made rows that do not start with their largest id: the hollow
-# triangle's edges ascend, and each square of the pillow (two squares glued
-# along their boundary, a 2-sphere) has its largest edge, 8, in the middle,
-# with signs that differ by position between the two squares; three of the
-# hollow tetrahedron's unsigned triangles have their largest edge in the
-# middle or last, where moving it first changes more than the row's sign
+# hand-made complexes, each row in descending order: the hollow triangle;
+# the pillow, two squares glued along their boundary (a 2-sphere), each
+# with mixed signs; the hollow tetrahedron, whose triangle 11 is signed
+# because its descending row is not in the simplicial order
 _TRIANGLE = {-1: [0], 0: [1, 2, 3], 1: [4, 5, 6]}
-_TRIANGLE_TABLE = [(), (0,), (0,), (0,), (1, 2), (2, 3), (1, 3)]
+_TRIANGLE_TABLE = [(), (0,), (0,), (0,), (2, 1), (3, 2), (3, 1)]
 _PILLOW = {-1: [0], 0: [1, 2, 3, 4], 1: [5, 6, 7, 8], 2: [9, 10]}
-_PILLOW_TABLE = [(), *[(0,)] * 4, (2, 1), (3, 2), (4, 3), (4, 1), (5, 8, 6, 7), (7, 5, 8, 6)]
-_PILLOW_SIGNS = {9: (1, -1, 1, 1), 10: (1, 1, -1, 1)}
+_PILLOW_TABLE = [(), *[(0,)] * 4, (2, 1), (3, 2), (4, 3), (4, 1), (8, 7, 6, 5), (8, 7, 6, 5)]
+_PILLOW_SIGNS = {9: (-1, 1, 1, 1), 10: (1, -1, -1, -1)}
 _TETRAHEDRON = {-1: [0], 0: [1, 2, 3, 4], 1: [5, 6, 7, 8, 9, 10], 2: [11, 12, 13, 14]}
 _TETRAHEDRON_TABLE = [
     (),
     *[(0,)] * 4,
     *[(2, 1), (3, 2), (3, 1), (4, 1), (4, 2), (4, 3)],
-    *[(6, 7, 5), (9, 8, 5), (10, 8, 7), (10, 9, 6)],
+    *[(7, 6, 5), (9, 8, 5), (10, 8, 7), (10, 9, 6)],
 ]
+_TETRAHEDRON_SIGNS = {11: (-1, 1, 1)}
 
 
 @pytest.mark.parametrize("field", Field)
-def test_a_row_is_led_by_its_largest_id_wherever_it_sits(field):
+def test_hand_made_complexes_rank_over_both_fields(field):
     triangle = ChainComplex(_TRIANGLE, _TRIANGLE_TABLE)
     assert triangle.rank(1, field) == 2
     assert triangle.reduced_betti(field) == [0, 1]
     pillow = ChainComplex(_PILLOW, _PILLOW_TABLE, _PILLOW_SIGNS)
     assert pillow.rank(2, field) == 1
     assert pillow.reduced_betti(field) == [0, 0, 1]
-    # the table keeps its rows in the order given
-    assert pillow.table[9] == (5, 8, 6, 7) and pillow.signs == _PILLOW_SIGNS
-    tetrahedron = ChainComplex(_TETRAHEDRON, _TETRAHEDRON_TABLE)
+    tetrahedron = ChainComplex(_TETRAHEDRON, _TETRAHEDRON_TABLE, _TETRAHEDRON_SIGNS)
     assert [tetrahedron.rank(k, field) for k in range(3)] == [1, 3, 3]
     assert tetrahedron.reduced_betti(field) == [0, 0, 1]
-    # given ids, a rank reads each row with its own coefficients, whatever k says
+    # given ids, a rank reads each row with its own signs, whatever k says:
+    # with triangle 11 unsigned the four rows have rank 4 over the rationals
     assert tetrahedron.rank(0, field, [11, 12, 13, 14]) == 3
-    assert tetrahedron.table[11] == (6, 7, 5) and not tetrahedron.signs
+
+
+def test_a_row_out_of_order_is_rejected():
+    # ascending, repeated, or descending only after its first entry
+    for g, row in ((4, (1, 2)), (5, (3, 3)), (6, (3, 1, 2))):
+        table = list(_TRIANGLE_TABLE)
+        table[g] = row
+        with pytest.raises(ValueError, match=rf"cell {g}'s row \[.*\] does not strictly descend"):
+            ChainComplex(_TRIANGLE, table)
+    X = build(10)
+    cc = chain_complex(X)
+    block = max(X.kept.values(), key=len)
+    start = block[_CHUNK]
+    # a row past the first chunk of a block, named before a later one of its
+    # chunk and before an earlier row of its chunk whose dd is nonzero
+    table = list(cc.table)
+    first, later = start + 5, start + 300
+    for g in (first, later):
+        table[g] = table[g][1::-1] + table[g][2:]
+    table[start] = _replace_last(table[start], X.kept[len(table[start]) - 2])
+    assert _first_nonzero_dd(table, cc.signs) == start
+    with pytest.raises(ValueError, match=f"cell {first}'s row"):
+        ChainComplex(X.kept, table, cc.signs)
+    # a nonzero dd in an earlier chunk is raised first
+    table[block[0]] = _replace_last(table[block[0]], X.kept[len(table[start]) - 2])
+    with pytest.raises(RuntimeError, match=f"cell {block[0]} is nonzero"):
+        ChainComplex(X.kept, table, cc.signs)
 
 
 def test_ranking_leaves_the_shared_facet_table_as_built():
@@ -516,17 +537,51 @@ def test_boundary_squared_zero_is_checked():
         ChainComplex(_SEGMENT, _SEGMENT_TABLE, {1: [-1]})
 
 
+def _nonzero_dd(table, signs, g):
+    """Whether cell g's boundary of boundary, summed over the integers, is nonzero."""
+    acc = Counter()
+    row = table[g]
+    for lo, c in zip(row, signs.get(g) or [(-1) ** i for i in range(len(row))]):
+        lower = table[lo]
+        for lo2, c2 in zip(lower, signs.get(lo) or [(-1) ** i for i in range(len(lower))]):
+            acc[lo2] += c * c2
+    return any(acc.values())
+
+
 def _first_nonzero_dd(table, signs):
     """The first cell whose boundary of boundary, summed over the integers, is nonzero."""
-    for g, row in enumerate(table):
-        acc = Counter()
-        for lo, c in zip(row, signs.get(g) or [(-1) ** i for i in range(len(row))]):
-            lower = table[lo]
-            for lo2, c2 in zip(lower, signs.get(lo) or [(-1) ** i for i in range(len(lower))]):
-                acc[lo2] += c * c2
-        if any(acc.values()):
-            return g
+    return next((g for g in range(len(table)) if _nonzero_dd(table, signs, g)), None)
+
+
+def _first_error(table, signs):
+    """The error the constructor raises on a table of in-range ids, and the cell it names.
+
+    Read chunk by chunk, in table order, each chunk up to ``_CHUNK``
+    consecutive rows of one length: the first row of the first chunk
+    holding one that does not strictly descend gives ValueError, unless
+    an earlier chunk holds a cell whose dd is nonzero, which gives
+    RuntimeError at the first such cell.
+    """
+    start = 0
+    while start < len(table):
+        k = len(table[start])
+        end = start
+        while end < len(table) and end - start < _CHUNK and len(table[end]) == k:
+            end += 1
+        for g in range(start, end):
+            if any(a <= b for a, b in zip(table[g], table[g][1:])):
+                return ValueError, g
+        for g in range(start, end):
+            if _nonzero_dd(table, signs, g):
+                return RuntimeError, g
+        start = end
     return None
+
+
+def _replace_last(row, ids):
+    """The row with its last id replaced by the first of ids it does not hold, in descending order."""
+    new = next(g for g in ids if g not in row)
+    return tuple(sorted((*row[:-1], new), reverse=True))
 
 
 def _pairs_up(table, signs, row):
@@ -586,12 +641,13 @@ def test_dd_check_names_a_broken_row_past_the_first_chunk_of_a_block():
     block = max(X.kept.values(), key=len)
     assert len(block) > _CHUNK
     table = list(cc.table)
-    # two broken rows in the block's second chunk: the check names the first
+    # two broken rows in the block's second chunk, each still descending,
+    # with its last id replaced by another cell of that dimension: the
+    # check names the first
     first, later = block[_CHUNK + 5], block[_CHUNK + 300]
-    row = list(table[first])
-    row[0], row[1] = row[1], row[0]
-    table[first] = tuple(row)
-    table[later] = (table[later][0],) * len(table[later])
+    lower = X.kept[len(table[first]) - 2]
+    table[first] = _replace_last(table[first], lower)
+    table[later] = _replace_last(table[later], reversed(lower))
     assert _first_nonzero_dd(table, cc.signs) == first
     with pytest.raises(RuntimeError, match=f"cell {first} is nonzero"):
         ChainComplex(X.kept, table, cc.signs)
@@ -643,19 +699,30 @@ def test_dd_check_agrees_with_the_integer_sum_on_broken_tables(seed):
             i = rng.randrange(len(row))
             dim = next(d for d, ids in X.kept.items() if row[i] in ids)
             row[i] = rng.choice(X.kept[dim])
-    first = _first_nonzero_dd(table, cc.signs)
-    if first is None:
-        ChainComplex(X.kept, table, cc.signs)
-    else:
-        with pytest.raises(RuntimeError, match=f"cell {first} is nonzero"):
+    # most broken rows no longer descend; sorted, most reach the dd check
+    for table in (table, [sorted(row, reverse=True) for row in table]):
+        error = _first_error(table, cc.signs)
+        if error is None:
             ChainComplex(X.kept, table, cc.signs)
+        else:
+            kind, g = error
+            with pytest.raises(kind, match=rf"cell {g}\b"):
+                ChainComplex(X.kept, table, cc.signs)
 
 
 def test_dd_check_reads_an_id_out_of_range_as_before():
-    table = [list(row) for row in _SEGMENT_TABLE]
-    table[3] = [1, 4]
-    with pytest.raises(IndexError):
-        ChainComplex(_SEGMENT, table)
+    # a negative id would alias a row from the end of the table
+    for row in ([4, 1], [2, -3]):
+        table = [*_SEGMENT_TABLE[:3], row]
+        with pytest.raises(ValueError, match=r"cell 3's row .* holds an id outside 0\.\.3"):
+            ChainComplex(_SEGMENT, table)
+
+
+@pytest.mark.parametrize("key", [-1, 4, 7])
+def test_signs_are_keyed_by_ids(key):
+    # -1 would be checked against the last row and then never read
+    with pytest.raises(ValueError, match=rf"keyed by {key}, not an id 0\.\.3"):
+        ChainComplex(_SEGMENT, _SEGMENT_TABLE, {key: [1, -1]})
 
 
 @pytest.mark.parametrize(
@@ -680,11 +747,12 @@ def test_explicit_signs_must_be_one_unit_per_entry(signs):
 
 
 def test_default_signs_cover_any_row_length():
-    # two 1-cells over 300 points: the long one must keep its signs past
-    # any fixed length, or it would equal the short one
+    # two 1-cells over 300 points, the short one the long one's first 128
+    # entries: the long one must keep its signs past any fixed length, or
+    # it would equal the short one
     points = 300
     bases = {-1: [0], 0: range(1, points + 1), 1: [points + 1, points + 2]}
-    table = [[], *[[0]] * points, list(range(1, points + 1)), list(range(1, 129))]
+    table = [[], *[[0]] * points, list(range(points, 0, -1)), list(range(points, 172, -1))]
     cc = ChainComplex(bases, table)
     for field in Field:
         assert cc.rank(1, field) == 2
