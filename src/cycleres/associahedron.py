@@ -26,9 +26,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
+from typing import NamedTuple
 
 from .polygon import (
     Diagonal,
@@ -41,8 +41,7 @@ from .polygon import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
+class Face(NamedTuple):
     """One cell of the complex; its id is its position in the face list that holds it.
 
     ``diagonals`` is the dissection for simplicial faces (the empty

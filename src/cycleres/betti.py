@@ -10,9 +10,9 @@ only nonzero entries are (0, 0), (d, d+1) for 1 <= d <= n - 3, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import comb
+from typing import NamedTuple
 
 from .homology import Field, simplicial_reduced_betti
 from .polygon import rotate, vertices
@@ -31,12 +31,11 @@ class MethodDisagreement(Exception):
         super().__init__(f"betti methods disagree at n={n}: {cells}")
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    """Graded Betti numbers beta_{d,j}, stored sparsely."""
+class BettiTable(NamedTuple):
+    """Graded Betti numbers beta_{d,j}, stored sparsely; unhashable, as it holds a dict."""
 
     n: int
-    entries: dict[tuple[int, int], int] = field(compare=True)
+    entries: dict[tuple[int, int], int]
 
     def value(self, d: int, j: int) -> int:
         return self.entries.get((d, j), 0)

@@ -8,7 +8,6 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable
@@ -390,6 +389,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.json:
+            import json  # here, so that only --json loads it
+
             json.dump(payload(), sys.stdout, indent=2)
             print()
         else:

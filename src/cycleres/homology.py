@@ -13,12 +13,12 @@ cell has explicit ±1 signs (in A_n only the interior cell has).  For
 A_n the table is ``covers_below()`` itself, not a copy.  The row order
 and dd = 0 are checked once, over the integers, a run of rows of one
 length at a time: a row that does not descend, or that holds an id
-outside the table, raises ValueError; a run of unsigned rows whose terms
-cancel in pairs by id passes with one slice comparison per pair of
-positions, and every other row is summed.  Each rank reads the table's
-rows in place, keyed by their lead, the largest id, which is their
-first.  A row whose lead starts no pivot becomes that pivot as it
-stands.  Only a row that meets
+outside the table or a cell not one dimension below its own, raises
+ValueError; a run of unsigned rows whose terms cancel in pairs by id
+passes with one slice comparison per pair of positions, and every other
+row is summed.  Each rank reads the table's rows in place, keyed by
+their lead, the largest id, which is their first.  A row whose lead
+starts no pivot becomes that pivot as it stands.  Only a row that meets
 a pivot is copied, into an id set for GF(2) or an ``{id: ±1}`` dict for
 the rationals, and reduced; a pivot is copied when a reduction first
 reads it (the "emergent pairs" of Bauer, "Ripser", 2021).  A view (a
@@ -152,14 +152,14 @@ class ChainComplex:
     of the cells in dimension k; together the bases must hold every id
     0..len(table) - 1 exactly once (ValueError otherwise).  ``table[g]``
     lists the ids of the cells in cell g's boundary in strictly
-    descending order, each an id of the table (ValueError otherwise);
-    its i-th entry has coefficient (-1)^i, or ``signs[g][i]`` when g has
-    explicit signs, which must be keyed by an id of the table and be ±1,
-    one per entry (ValueError otherwise).  The identity
-    boundary-of-boundary = 0 is verified once, over the integers, at
-    construction, which implies it in every field (RuntimeError names the
-    first cell where it fails); each rank takes its field as an argument
-    and reads the table's rows in place.
+    descending order, each the id of a cell one dimension below g
+    (ValueError otherwise); its i-th entry has coefficient (-1)^i, or
+    ``signs[g][i]`` when g has explicit signs, which must be keyed by an
+    id of the table and be ±1, one per entry (ValueError otherwise).  The
+    identity boundary-of-boundary = 0 is verified once, over the
+    integers, at construction, which implies it in every field
+    (RuntimeError names the first cell where it fails); each rank takes
+    its field as an argument and reads the table's rows in place.
     """
 
     def __init__(
@@ -171,8 +171,7 @@ class ChainComplex:
         self.bases = bases
         self.table = table
         self.signs = signs or {}
-        if sorted(g for ids in bases.values() for g in ids) != list(range(len(table))):
-            raise ValueError(f"the bases must hold each id 0..{len(table) - 1} exactly once")
+        blocks = _id_blocks(bases, len(table))
         for g, s in self.signs.items():
             if g not in range(len(table)):
                 raise ValueError(f"signs are keyed by {g!r}, not an id 0..{len(table) - 1}")
@@ -180,7 +179,7 @@ class ChainComplex:
                 raise ValueError(f"cell {g} needs one sign ±1 per entry of {list(table[g])}")
         # covers every row, so zip never cuts one short
         self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
-        self._verify_dd_zero()
+        self._verify_dd_zero(blocks)
         # the dimensions that hold a signed cell: only their ranks look signs up
         self._signed = {k for k, ids in bases.items() if not self.signs.keys().isdisjoint(ids)}
 
@@ -236,39 +235,55 @@ class ChainComplex:
         signs = self.signs
         return rank_int([table[g] for g in ids], [signs.get(g, alternating) for g in ids])
 
-    def _verify_dd_zero(self) -> None:
-        """Check the row order and raise RuntimeError at the first cell whose dd is nonzero.
+    def _verify_dd_zero(self, blocks: dict[int, range] | None) -> None:
+        """Check the rows' shape and raise RuntimeError at the first cell whose dd is nonzero.
 
-        The table is read in chunks of consecutive rows of one length
-        (``_chunks``), in table order.  A chunk whose rows do not all
-        strictly descend (``_descending``) raises ValueError naming its
-        first such row, before its dd is read.  A chunk passes at once
-        when ``_run_pairs_up`` holds on it: no row or entry of it is
-        signed, every entry is an id of the table, and the terms of dd on
-        each of its rows cancel in pairs by id.  Every other chunk is
-        read row by row, each row as a chunk of one: a row that passes
-        ``_run_pairs_up`` passes as it stands; any other raises
-        ValueError if it holds an id outside the table, and is otherwise
-        summed over the integers by ``_boundary_of_boundary``.  That loop
-        is the only one that raises RuntimeError.
+        ``blocks`` are the bases as id ranges, None when they are not
+        consecutive (``_id_blocks``).  The table is read in chunks of
+        consecutive rows of one length (``_chunks``), in table order.  A
+        chunk raises ValueError before its dd is read when a row of it
+        does not strictly descend (``_descending``), naming its first
+        such row, or else when a row holds an id outside the table or a
+        cell not one dimension below its own, naming its first such row.
+        That is read a chunk at a time by ``_one_dimension_down`` when
+        there are blocks, and row by row when there are none or the chunk
+        does not pass.  A chunk passes dd = 0 at once when
+        ``_run_pairs_up`` holds on it: no row or entry of it is signed,
+        and the terms of dd on each of its rows cancel in pairs by id.
+        Every other chunk is read row by row, each row as a chunk of one:
+        a row that passes ``_run_pairs_up`` passes as it stands; any other
+        is summed over the integers by ``_boundary_of_boundary``.  That
+        loop is the only one that raises RuntimeError.
         """
         table, signs = self.table, self.signs
+        dims = None
         for start, k, rows in _chunks(table):
             entries = list(chain.from_iterable(rows))
             if not _descending(entries, k):
                 g = next(g for g, row in enumerate(rows, start) if not _descending(row, k))
                 raise ValueError(f"cell {g}'s row {list(table[g])} does not strictly descend")
+            if k and not (blocks and _one_dimension_down(blocks, start, len(rows), k, entries)):
+                if dims is None:
+                    dims = _dimensions(self.bases, len(table))
+                for g, row in enumerate(rows, start):
+                    # the row descends: its first id is its largest
+                    if row[-1] < 0 or row[0] >= len(table):
+                        raise ValueError(
+                            f"cell {g}'s row {list(row)} holds an id outside 0..{len(table) - 1}"
+                        )
+                    below = dims[g] - 1
+                    for lo in row:
+                        if dims[lo] != below:
+                            raise ValueError(
+                                f"cell {g}'s row {list(row)} holds {lo}, a cell of dimension"
+                                f" {dims[lo]}, not {below}"
+                            )
             if not _run_pairs_up(table, signs, start, len(rows), k, entries):
                 for g, row in enumerate(rows, start):
-                    if not _run_pairs_up(table, signs, g, 1, k, list(row)):
-                        # the row descends: its first id is its largest
-                        if row[-1] < 0 or row[0] >= len(table):
-                            raise ValueError(
-                                f"cell {g}'s row {list(row)} holds an id outside "
-                                f"0..{len(table) - 1}"
-                            )
-                        if any(self._boundary_of_boundary(g).values()):
-                            raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
+                    if not _run_pairs_up(table, signs, g, 1, k, list(row)) and any(
+                        self._boundary_of_boundary(g).values()
+                    ):
+                        raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
 
     def _boundary_of_boundary(self, g: int) -> dict[int, int]:
         """The boundary of the boundary of cell g over the integers, as ``{id: coefficient}``."""
@@ -332,6 +347,59 @@ def _run_pairs_up(
         flat[j * (k - 1) + i :: w] == flat[i * (k - 1) + j - 1 :: w]
         for j in range(1, k)
         for i in range(j)
+    )
+
+
+def _id_blocks(bases: dict[int, Sequence[int]], size: int) -> dict[int, range] | None:
+    """Each dimension's ids as a range, or None when some dimension's ids are not consecutive.
+
+    Raises ValueError unless the bases hold each id 0..size - 1 exactly
+    once.  Consecutive ids need no sort for that: they hold each id once
+    when their ranges, in order, tile 0..size - 1.
+    """
+    blocks: dict[int, range] | None = {}
+    for k, ids in bases.items():
+        block = range(ids[0], ids[0] + len(ids)) if len(ids) else range(0)
+        # a range is compared with a range as it stands, anything else as a list
+        if ids != block and list(ids) != list(block):
+            blocks = None
+            break
+        blocks[k] = block
+    if blocks is not None:
+        tiles = sorted((b.start, b.stop) for b in blocks.values() if b)
+        stops = [0, *(b for _, b in tiles)]
+        if [a for a, _ in tiles] == stops[:-1] and stops[-1] == size:
+            return blocks
+    if sorted(chain.from_iterable(bases.values())) != list(range(size)):
+        raise ValueError(f"the bases must hold each id 0..{size - 1} exactly once")
+    return None
+
+
+def _dimensions(bases: dict[int, Iterable[int]], size: int) -> list[int]:
+    """Each cell's dimension, by id, for bases that hold each id 0..size - 1 once."""
+    dims = [0] * size
+    for k, ids in bases.items():
+        any(map(dims.__setitem__, ids, repeat(k)))  # the stores run in C
+    return dims
+
+
+def _one_dimension_down(
+    blocks: dict[int, range], start: int, count: int, k: int, entries: list[int]
+) -> bool:
+    """Whether count rows of k > 0 entries, with ids from start up, hold cells one dimension down.
+
+    ``blocks`` are the bases as id ranges, ``entries`` the rows'
+    entries, concatenated.  True when the rows' cells lie in one block,
+    of dimension d, and every entry in the block of dimension d - 1.
+    The rows descend, so their first entries hold the largest ids and
+    their last the least: two strided slices bound every entry.
+    """
+    d = next(d for d, block in blocks.items() if start in block)
+    below = blocks.get(d - 1, range(0))
+    return (
+        start + count <= blocks[d].stop
+        and below.start <= min(entries[k - 1 :: k])
+        and max(entries[::k]) < below.stop
     )
 
 

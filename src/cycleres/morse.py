@@ -10,27 +10,26 @@ faces are the critical cells.  On a view of A_n, faces keep their ids in A_n.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .associahedron import LabeledComplex, f_formula
 from .polygon import Diagonal, SupportClass, count_by_class, vertices
 
 
-@dataclass(frozen=True)
 class MorseMatching:
     """A set of matched cover pairs (lower face id, upper face id).
 
     Keeps the pair tuples it is given, sorted, and of equal pairs the
     first; a pair that is not a tuple, or a face id that is not an int,
-    raises TypeError.
+    raises TypeError.  Immutable: assigning an attribute raises
+    AttributeError.  Equal and hashed by its pairs.
     """
 
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        pairs = sorted(self.pairs)  # stable, so each run of equal pairs starts with the first
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = sorted(pairs)  # stable, so each run of equal pairs starts with the first
         for pair in pairs:
             if not isinstance(pair, tuple):
                 raise TypeError(f"pair {pair!r} is not a tuple")
@@ -40,6 +39,23 @@ class MorseMatching:
         object.__setattr__(
             self, "pairs", tuple(p for i, p in enumerate(pairs) if not i or p != pairs[i - 1])
         )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
+
+    def __repr__(self) -> str:
+        return f"MorseMatching(pairs={self.pairs!r})"
 
     @property
     def matched_ids(self) -> frozenset[int]:
@@ -52,8 +68,7 @@ class MorseMatching:
         return [[lo, hi] for lo, hi in self.pairs]
 
 
-@dataclass(frozen=True)
-class MatchingReport:
+class MatchingReport(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 

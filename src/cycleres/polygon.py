@@ -147,27 +147,33 @@ def dissection(mask: int, diagonals: Sequence[Diagonal]) -> tuple[Diagonal, ...]
     return tuple(out)
 
 
+def _later(diagonals: Sequence[Diagonal]) -> list[int]:
+    """Bit j of entry i is set when diagonal j comes after diagonal i and does not cross it."""
+    m = len(diagonals)
+    return [
+        sum(1 << j for j in range(i + 1, m) if not crosses(diagonals[i], diagonals[j]))
+        for i in range(m)
+    ]
+
+
 def iter_noncrossing(diagonals: Sequence[Diagonal]) -> Iterator[int]:
     """Yield every non-crossing subset of ``diagonals``, by size, then lexicographically.
 
     A subset is a bitmask, bit j for ``diagonals[j]``, the empty subset 0
     first; ``dissection`` turns it back into its diagonals.  Subsets of one
     size come in the lexicographic order of those tuples.  Bit j of
-    ``later[i]`` is set when diagonal j comes after diagonal i and does not
-    cross it.  A subset carries ``free``, the AND of its diagonals' ``later``
-    masks, so the diagonals that extend it are the set bits of ``free``;
-    extending each subset of one size by them in ascending order lists the
-    next size lexicographically.  For ``all_diagonals(n)`` this is the
-    canonical face order of A_n.  A subset is yielded as it is made, so
-    stopping at the first subset of a size leaves the rest of it unbuilt.
+    ``later[i]`` (``_later``) is set when diagonal j comes after diagonal
+    i and does not cross it.  A subset carries ``free``, the AND of its
+    diagonals' ``later`` masks, so the diagonals that extend it are the
+    set bits of ``free``; extending each subset of one size by them in
+    ascending order lists the next size lexicographically.  For
+    ``all_diagonals(n)`` this is the canonical face order of A_n.  A
+    subset is yielded as it is made, so stopping at the first subset of a
+    size leaves the rest of it unbuilt.
     """
-    m = len(diagonals)
-    later = [
-        sum(1 << j for j in range(i + 1, m) if not crosses(diagonals[i], diagonals[j]))
-        for i in range(m)
-    ]
+    later = _later(diagonals)
     yield 0
-    level = [(0, (1 << m) - 1)]
+    level = [(0, (1 << len(later)) - 1)]
     while level:
         bigger = []
         for mask, free in level:
@@ -193,11 +199,27 @@ def iter_dissections(n: int, d: int) -> Iterator[tuple[Diagonal, ...]]:
 def size_counts(n: int) -> list[int]:
     """How many dissections of the n-gon have d diagonals, for d = 0..n - 3, in one walk.
 
-    Counts the bitmasks ``iter_noncrossing(all_diagonals(n))`` yields, by
-    size, without keeping them: the f-vector of A_n without its interior cell.
+    Counts the subsets ``iter_noncrossing(all_diagonals(n))`` yields, by
+    size: the f-vector of A_n without its interior cell.  It walks the
+    same tree depth-first and makes no subset: a subset of size s with
+    ``free`` extensions adds their number to the count of size s + 1,
+    and only the extensions that have extensions of their own go on the
+    stack, as ``(free, s + 1)``.  So it holds the pending extensions
+    along one path of the tree, not a whole level.
     """
-    by_size = Counter(map(int.bit_count, iter_noncrossing(all_diagonals(n))))
-    return [by_size[d] for d in range(n - 2)]
+    later = _later(all_diagonals(n))
+    counts = [1] + [0] * (n - 3)  # the empty dissection, and n >= 4
+    stack = [((1 << len(later)) - 1, 1)]
+    while stack:
+        free, size = stack.pop()
+        counts[size] += free.bit_count()
+        while free:
+            low = free & -free
+            free ^= low
+            # the diagonals after this one that cross neither it nor the subset
+            if extensions := free & later[low.bit_length() - 1]:
+                stack.append((extensions, size + 1))
+    return counts
 
 
 def slice_counts(n: int, d: int) -> tuple[dict[int, int], int]:

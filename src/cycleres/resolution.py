@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .associahedron import Face, LabeledComplex, build, restrict
 from .homology import Field, is_acyclic
@@ -101,8 +100,7 @@ def minimality_witnesses(X: LabeledComplex) -> list[tuple[Face, Face]]:
     return [(X.faces[lo], X.faces[hi]) for lo, hi in X.equal_label_covers()]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     n: int
     field: Field
     checked: int

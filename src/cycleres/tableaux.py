@@ -12,8 +12,7 @@ d values and fixes exactly the tableaux that restrict to syzygy shape.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
-from functools import cache
+from functools import cache, total_ordering
 from itertools import accumulate, chain
 from math import factorial
 from operator import ge, itemgetter, lt
@@ -77,20 +76,21 @@ def _neighbours(shape: Shape) -> tuple[itemgetter, itemgetter]:
     return itemgetter(slice(len(smaller))), itemgetter(slice(1, 1 + len(smaller)))
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Tableau:
     """A standard Young tableau; rows weakly shrink, entries are 1..N.
 
     ``rows`` is a tuple of strictly increasing tuples, strictly increasing
-    down columns as well; ordering is lexicographic on the row reading
-    word.  Keeps the row tuples it is given; an entry that is not an int
-    raises TypeError.
+    down columns as well; equality, hashing and ordering are those of
+    ``rows``, so tableaux of one shape sort by their row reading word.
+    Keeps the row tuples it is given; an entry that is not an int raises
+    TypeError.  Immutable: assigning an attribute raises AttributeError.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
         shape = tuple(map(len, rows))
         if not shape or min(shape) < 1 or any(map(lt, shape, shape[1:])):
@@ -120,6 +120,28 @@ class Tableau:
         t = object.__new__(cls)
         object.__setattr__(t, "rows", rows)
         return t
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows < other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Tableau(rows={self.rows!r})"
 
     @property
     def shape(self) -> Shape:

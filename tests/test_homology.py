@@ -15,7 +15,9 @@ from cycleres.homology import (
     Field,
     _chunks,
     _descending,
+    _id_blocks,
     _interior_signs,
+    _one_dimension_down,
     _run_pairs_up,
     chain_complex,
     is_acyclic,
@@ -708,6 +710,62 @@ def test_dd_check_agrees_with_the_integer_sum_on_broken_tables(seed):
             kind, g = error
             with pytest.raises(kind, match=rf"cell {g}\b"):
                 ChainComplex(X.kept, table, cc.signs)
+
+
+def test_a_row_of_the_wrong_dimension_is_rejected():
+    # edge 5 "bounds" the edges 4 and 3, whose boundaries are equal, so dd = 0;
+    # the complex would report reduced Betti numbers [-1, 1]
+    table = [[], [0], [0], [2, 1], [2, 1], [4, 3]]
+    message = r"cell 5's row \[4, 3\] holds 4, a cell of dimension 1, not 0"
+    with pytest.raises(ValueError, match=message):
+        ChainComplex({-1: [0], 0: [1, 2], 1: [3, 4, 5]}, table)
+    # the same with bases that are not consecutive ids, read row by row
+    assert _id_blocks({-1: [0], 0: [2, 1], 1: [3, 4, 5]}, 6) is None
+    with pytest.raises(ValueError, match=message):
+        ChainComplex({-1: [0], 0: [2, 1], 1: [3, 4, 5]}, table)
+    # an edge over the empty face
+    tri = [*_TRIANGLE_TABLE[:6], (3, 0)]
+    with pytest.raises(ValueError, match=r"cell 6's row \[3, 0\] holds 0, a cell of dimension -1"):
+        ChainComplex(_TRIANGLE, tri)
+
+
+def test_a_row_of_the_wrong_dimension_is_named_past_the_first_chunk():
+    X = build(10)
+    cc = chain_complex(X)
+    block = max(X.kept.values(), key=len)
+    assert len(block) > _CHUNK
+    # a later row's last id replaced by a vertex: still descending, and dd
+    # of an earlier row of its chunk broken first
+    table = list(cc.table)
+    g = block[_CHUNK + 300]
+    table[g] = (*table[g][:-1], X.kept[0][0])
+    table[block[_CHUNK + 5]] = _replace_last(table[block[_CHUNK + 5]], X.kept[len(table[g]) - 2])
+    with pytest.raises(ValueError, match=rf"cell {g}'s row .* a cell of dimension 0, not "):
+        ChainComplex(X.kept, table, cc.signs)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_dimension_check_is_the_row_check_on_every_chunk(n):
+    X = build(n)
+    cc = chain_complex(X)
+    table = cc.table
+    blocks = _id_blocks(cc.bases, len(table))
+    assert blocks == X.kept
+    dims = {g: k for k, ids in X.kept.items() for g in ids}
+    for start, k, rows in _chunks(table):
+        if not k:
+            continue
+        entries = list(chain.from_iterable(rows))
+        assert _one_dimension_down(blocks, start, len(rows), k, entries)
+        # each row's last id swapped for the least id of each dimension
+        for d, ids in X.kept.items():
+            broken = [*rows[-1][:-1], ids[0]]
+            if len(rows[-1]) > 1 and broken[-2] <= ids[0]:
+                continue  # it would not descend
+            by_row = all(dims[lo] == dims[start + len(rows) - 1] - 1 for lo in broken)
+            assert _one_dimension_down(
+                blocks, start, len(rows), k, entries[:-k] + broken
+            ) == by_row, (start, d)
 
 
 def test_dd_check_reads_an_id_out_of_range_as_before():

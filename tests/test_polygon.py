@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
 
@@ -247,6 +248,23 @@ def test_size_counts_is_the_f_vector_of_the_built_complex():
         counted = size_counts(n) + [1]
         assert counted == build(n).f_vector()
         assert counted == [f_formula(n, d) for d in range(n - 2)] + [1]
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_size_counts_walks_the_tree_that_iter_noncrossing_lists(n):
+    by_size = Counter(map(int.bit_count, iter_noncrossing(all_diagonals(n))))
+    assert size_counts(n) == [by_size[d] for d in range(n - 2)]
+
+
+def test_size_counts_holds_one_path_not_a_level():
+    # a level of A_11's enumeration holds up to 32,032 subsets, several MB
+    tracemalloc.start()
+    try:
+        size_counts(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_count_by_support_refinements():

@@ -160,13 +160,20 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert pools == [2, 2]
 
 
-def test_no_command_loads_the_process_pool_on_import():
-    # only verify-resolution --threads K > 1 runs a pool, and it imports one then
+def test_importing_the_cli_loads_no_pool_dataclasses_or_json():
+    # only verify-resolution --threads K > 1 runs a pool, and it imports one
+    # then; only --json loads json; no module makes a dataclass, whose module
+    # would load inspect and with it ast, dis and tokenize
     src = str(Path(resolution.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    heavy = ("concurrent.futures", "multiprocessing", "logging", "socket")
+    heavy = (
+        "concurrent.futures", "multiprocessing", "logging", "socket",
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+    )
+    # typing, which every NamedTuple needs, is loaded before the count: from
+    # Python 3.14 on it may load ast itself, which no code here can avoid
     code = (
-        "import sys; before = set(sys.modules); import cycleres.cli; "
+        "import sys, typing; before = set(sys.modules); import cycleres.cli; "
         f"print([m for m in {heavy!r} if m in sys.modules and m not in before])"
     )
     proc = subprocess.run(
