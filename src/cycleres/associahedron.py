@@ -16,9 +16,8 @@ it, and every id the module hands out (``kept``, the facet table, the
 label index, ``face_id``) is such an index.  Nothing is keyed by
 dissection: the constructor reads each facet's id off the canonical
 order, and ``face_id`` bisects the face's dimension block, which is
-sorted lexicographically by diagonal.  A restriction and
-the boundary sphere are views of the face list, so a face has one id in
-every complex that holds it.
+sorted lexicographically by diagonal.  A restriction is a view of the
+face list, so a face has one id in every complex that holds it.
 """
 
 from __future__ import annotations
@@ -282,10 +281,10 @@ class LabeledComplex:
     ``kept`` holds, per dimension, the ids of the complex's faces, and
     every reader of them iterates ``ids()``.  A face list's ``kept`` is
     its dimension blocks, stored once as id ranges.  A view (see
-    ``restrict`` and ``boundary_complex``) records the face list as its
-    ``parent``, shares its columns, ``faces`` and facet table, and owns
-    only its ``kept`` ids, which are closed under subfaces.  So a
-    view's ``faces`` may hold faces it does not keep; ``fid in X`` tells.
+    ``restrict``) records the face list as its ``parent``, shares its
+    columns, ``faces`` and facet table, and owns only its ``kept`` ids,
+    which are closed under subfaces.  So a view's ``faces`` may hold
+    faces it does not keep; ``fid in X`` tells.
     """
 
     parent: LabeledComplex | None = None
@@ -334,9 +333,7 @@ class LabeledComplex:
             return True
         mask = self.dissections[fid]
         ids = self.kept.get(self.n - 3 if mask is None else mask.bit_count() - 1, ())
-        if isinstance(ids, range):  # a face list's block: bisecting a range is slow
-            return fid in ids
-        i = bisect_left(ids, fid)  # a restriction keeps sorted lists
+        i = bisect_left(ids, fid)  # a view keeps its ids sorted
         return i < len(ids) and ids[i] == fid
 
     def __len__(self) -> int:
@@ -375,10 +372,6 @@ class LabeledComplex:
         block = (self if self.parent is None else self.parent).kept.get(dim, ())
         g = _in_block(self.dissections, block, mask, self.faces.diagonals)
         return g if g is not None and g in self else None
-
-    def faces_of_dim(self, dim: int) -> list[Face]:
-        """The faces of dimension dim, in id order."""
-        return [self.faces[i] for i in self.kept.get(dim, ())]
 
     def diagonals(self) -> list[Diagonal]:
         """The diagonals of the vertices (0-faces), in canonical order."""
@@ -437,12 +430,6 @@ class LabeledComplex:
             for lo in sorted(up):
                 for hi in up[lo]:
                     yield lo, hi
-
-    def maximal_faces(self) -> list[Face]:
-        """Faces with no cover above them (the interior cell counts)."""
-        below, empty = self._below, self.kept.get(-1, ())
-        lowers = {lo for hi in self.ids() for lo in below[hi]}
-        return [self.faces[g] for g in self.ids() if g not in lowers and g not in empty]
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 up; (f(n,0), ..., f(n,n-3), 1) for A_n."""
@@ -523,9 +510,3 @@ def restrict(X: LabeledComplex, sigma: int) -> LabeledComplex:
             start = end
     return X._view(kept)
 
-
-def boundary_complex(X: LabeledComplex) -> LabeledComplex:
-    """The view of X without the interior cell (the simplicial sphere), or X if it has none."""
-    if not X.has_interior:
-        return X
-    return X._view({d: ids for d, ids in X.kept.items() if d != X.n - 3})

@@ -14,8 +14,7 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from .homology import Field, simplicial_reduced_betti
-from .polygon import rotate, vertices
+from .polygon import rotate
 
 METHODS = ("hochster", "closed", "recursion")
 
@@ -46,23 +45,6 @@ class BettiTable(NamedTuple):
     def row(self) -> tuple[int, ...]:
         """Total Betti numbers (beta_0, ..., beta_{n-2})."""
         return tuple(self.total(d) for d in range(self.n - 1))
-
-    def validate(self) -> None:
-        """Check shape constraints: almost-linearity, ends, palindromy."""
-        n = self.n
-        for (d, j), v in self.entries.items():
-            if v == 0:
-                continue
-            ok = (d, j) == (0, 0) or (d, j) == (n - 2, n) or (1 <= d <= n - 3 and j == d + 1)
-            if not ok:
-                raise AssertionError(f"unexpected nonzero entry at (d={d}, j={j})")
-        if self.value(0, 0) != 1:
-            raise AssertionError("beta_{0,0} must be 1")
-        if self.value(n - 2, n) != 1:
-            raise AssertionError("beta_{n-2,n} must be 1")
-        row = self.row()
-        if row != row[::-1]:
-            raise AssertionError(f"betti row is not palindromic: {row}")
 
 
 def _cyclic_runs(mask: int, n: int) -> int:
@@ -96,31 +78,6 @@ def hochster_betti(n: int) -> BettiTable:
                 key = (j - 1, j)
                 entries[key] = entries.get(key, 0) + runs - 1
     return BettiTable(n, entries)
-
-
-def check_hochster_with_homology(n: int, field: Field | str = Field.GF2) -> None:
-    """Cross-check the component count against honest simplicial homology.
-
-    For every vertex subset W, builds the induced subcomplex of the
-    cycle graph and compares all reduced Betti numbers to what the sweep
-    assumes.  Raises AssertionError on any mismatch.  Exponential in n;
-    meant for n <= 8.
-    """
-    field = Field.coerce(field)
-    for mask in range(1, 1 << n):
-        W = vertices(mask)
-        facets: list[tuple] = [(v,) for v in W]
-        facets += [(v, v % n + 1) for v in W if mask >> (v % n) & 1]
-        betti = simplicial_reduced_betti(facets, field)
-        if len(W) == n:
-            expected = [0, 1]
-        else:
-            expected = [_cyclic_runs(mask, n) - 1]
-        expected += [0] * (len(betti) - len(expected))
-        if betti != expected[: len(betti)]:
-            raise AssertionError(
-                f"homology {betti} disagrees with component count {expected} on W={W}"
-            )
 
 
 def betti_closed_form(n: int, d: int) -> int:

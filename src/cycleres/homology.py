@@ -22,8 +22,8 @@ starts no pivot becomes that pivot as it stands.  Only a row that meets
 a pivot is copied, into an id set for GF(2) or an ``{id: ±1}`` dict for
 the rationals, and reduced; a pivot is copied when a reduction first
 reads it (the "emergent pairs" of Bauer, "Ripser", 2021).  A view (a
-restriction or the boundary sphere) ranks its face list's rows at its
-kept ids, gathered in one pass that also skips the cleared ids.  Betti
+restriction) ranks its face list's rows at its kept ids, gathered in
+one pass that also skips the cleared ids.  Betti
 numbers rank from the top dimension down with clearing (Chen & Kerber,
 "Persistent homology computation with a twist", 2011).
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, KeysView, Sequence
 from enum import Enum
-from itertools import chain, combinations, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from math import gcd
 from operator import gt, itemgetter
 
@@ -183,17 +183,6 @@ class ChainComplex:
         # the dimensions that hold a signed cell: only their ranks look signs up
         self._signed = {k for k, ids in bases.items() if not self.signs.keys().isdisjoint(ids)}
 
-    def rank(self, k: int, field: Field | str, ids: Iterable[int] | None = None) -> int:
-        """Rank over field of the boundaries of the k-cells with these ids (default ``bases[k]``).
-
-        Every row is reduced; only ``reduced_betti`` skips rows by clearing.
-        Given ids, every row is read with its own coefficients, so they
-        need not be k-cells.
-        """
-        if ids is None:
-            return len(self._pivots(k, self.bases[k], field, ()))
-        return len(self._pivots(None, ids, field, ()))
-
     def reduced_betti(
         self, field: Field | str, kept: dict[int, Sequence[int]] | None = None
     ) -> list[int]:
@@ -214,22 +203,21 @@ class ChainComplex:
         return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
 
     def _pivots(
-        self, k: int | None, ids: Iterable[int], field: Field | str, cleared: Collection[int]
+        self, k: int, ids: Iterable[int], field: Field | str, cleared: Collection[int]
     ) -> KeysView[int]:
         """Pivot ids over field of the boundaries of the k-cells ids not in cleared.
 
         The table's rows are ranked in place, gathered from the ids in
         one pass.  Over the rationals, a dimension k without a signed
         cell passes the alternating signs for every row and looks up no
-        sign; with k None, every row's signs are looked up, since the
-        ids may hold a signed cell of any dimension.
+        sign.
         """
         table = self.table
         if Field.coerce(field) is Field.GF2:
             # every coefficient is ±1, so odd
             return rank_gf2([table[g] for g in ids if g not in cleared])
         alternating = self._alternating
-        if k is not None and k not in self._signed:
+        if k not in self._signed:
             return rank_int([table[g] for g in ids if g not in cleared], repeat(alternating))
         ids = [g for g in ids if g not in cleared]
         signs = self.signs
@@ -493,29 +481,6 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
             signs[top] = _interior_signs([table[g] for g in table[top]])
         P._chains = ChainComplex(P.kept, table, signs)
     return P._chains
-
-
-def simplicial_reduced_betti(facets: Iterable[Iterable], field: Field | str) -> list[int]:
-    """Reduced Betti numbers of the abstract simplicial complex the facets generate.
-
-    Vertices may be any sortable hashables.  Returns degrees 0..top; the
-    complex consisting of the empty face alone returns [].  Cells are
-    numbered by size, then lexicographically, and a cell's row drops its
-    i-th vertex at index i.  So each row strictly descends, as
-    ``ChainComplex`` requires: for i < j, the face that drops the i-th
-    vertex first differs from the one that drops the j-th at index i,
-    where it holds the larger (i + 1)-th vertex, so its id is larger.
-    """
-    closure: set[tuple] = {()}
-    for f in map(sorted, facets):
-        closure.update(c for r in range(1, len(f) + 1) for c in combinations(f, r))
-    cells = sorted(closure, key=lambda c: (len(c), c))
-    ids = {cell: g for g, cell in enumerate(cells)}
-    table = [[ids[cell[:i] + cell[i + 1 :]] for i in range(len(cell))] for cell in cells]
-    bases: dict[int, list[int]] = {}
-    for g, cell in enumerate(cells):
-        bases.setdefault(len(cell) - 1, []).append(g)
-    return ChainComplex(bases, table).reduced_betti(field)
 
 
 def reduced_betti_numbers(X: LabeledComplex, field: Field | str) -> list[int]:

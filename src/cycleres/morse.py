@@ -13,8 +13,8 @@ from collections import Counter
 from math import comb
 from typing import Callable, Iterable, NamedTuple
 
-from .associahedron import LabeledComplex, f_formula
-from .polygon import Diagonal, SupportClass, count_by_class, vertices
+from .associahedron import LabeledComplex
+from .polygon import Diagonal, vertices
 
 
 class MorseMatching:
@@ -56,10 +56,6 @@ class MorseMatching:
 
     def __repr__(self) -> str:
         return f"MorseMatching(pairs={self.pairs!r})"
-
-    @property
-    def matched_ids(self) -> frozenset[int]:
-        return frozenset(fid for pair in self.pairs for fid in pair)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -204,13 +200,12 @@ def _repeats(pairs: Iterable[tuple[int, int]], size: int) -> bool:
     return False
 
 
-def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -> MatchingReport:
+def validate(m: MorseMatching, X: LabeledComplex) -> MatchingReport:
     """Check covers, single use, label equality, and acyclicity.
 
-    With full_graph=True the acyclicity verdict is re-derived from the whole
-    oriented Hasse diagram of X instead of just the matched-pair graph.  A
-    pair whose upper id X does not keep is reported as not a cover; the
-    label and acyclicity checks see only the pairs that are covers, and the
+    Acyclicity is searched in the graph of the matched pairs.  A pair
+    whose upper id X does not keep is reported as not a cover; the label
+    and acyclicity checks see only the pairs that are covers, and the
     single-use check sees every pair.
     """
     problems = []
@@ -235,18 +230,6 @@ def validate(m: MorseMatching, X: LabeledComplex, *, full_graph: bool = False) -
     cycle = _find_cycle(lowers, _pair_successors(match_at_lower, below), bytearray(len(labels)))
     if cycle is not None:
         problems.append("directed cycle through lower faces " + "->".join(map(str, cycle)))
-    if full_graph:
-        matched = set(m.pairs)  # only covers are looked up in it
-        adj: list[list[int]] = [[] for _ in below]
-        for hi in X.ids():
-            for lo in below[hi]:
-                if (lo, hi) in matched:
-                    adj[lo].append(hi)
-                else:
-                    adj[hi].append(lo)
-        cycle = _find_cycle(X.ids(), adj.__getitem__, bytearray(len(below)))
-        if cycle is not None:
-            problems.append("oriented Hasse cycle " + "->".join(map(str, cycle)))
     return MatchingReport(not problems, tuple(problems))
 
 
@@ -284,28 +267,6 @@ def count_formulas(n: int) -> dict[str, int]:
         "inscribed_triangles": _exact(n * (n - 4) * (n - 5), 6),
         "critical_edges": _exact(comb(n, 3) * 2 * (n - 4), n - 1),
     }
-
-
-def n7_extension_counts() -> dict[str, int]:
-    """Face classification counts behind the hand extension in the heptagon.
-
-    The four matched families (superproper 2- and 3-diagonal faces upward,
-    inscribed triangles and triangles-with-pendant downward) leave 35 edges,
-    35 two-faces, and 14 three-faces unmatched.
-    """
-    by3 = count_by_class(7, 3)
-    counts = {
-        "superproper_d2": count_by_class(7, 2)[SupportClass.SUPERPROPER],
-        "subproper_d3": by3[SupportClass.SUBPROPER],
-        "superproper_d3": by3[SupportClass.SUPERPROPER],
-        "subproper_d4": count_by_class(7, 4)[SupportClass.SUBPROPER],
-    }
-    counts["edges_after"] = f_formula(7, 2) - counts["superproper_d2"] - counts["subproper_d3"]
-    counts["two_faces_after"] = f_formula(7, 3) - sum(
-        counts[k] for k in ("superproper_d2", "subproper_d3", "superproper_d3", "subproper_d4")
-    )
-    counts["three_faces_after"] = f_formula(7, 4) - counts["superproper_d3"] - counts["subproper_d4"]
-    return counts
 
 
 def greedy_extend(m: MorseMatching, X: LabeledComplex) -> MorseMatching:

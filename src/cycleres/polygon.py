@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from enum import Enum
 from itertools import dropwhile, takewhile
 from typing import NamedTuple
 
@@ -29,19 +28,6 @@ class Diagonal(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.a}-{self.b}"
-
-
-class SupportClass(Enum):
-    """How the endpoint count of a dissection compares to d + 1.
-
-    A dissection with d diagonals touching s polygon vertices is proper
-    when s = d + 1, superproper when s > d + 1 and subproper when
-    s < d + 1.
-    """
-
-    PROPER = "proper"
-    SUPERPROPER = "superproper"
-    SUBPROPER = "subproper"
 
 
 def is_diagonal(a: int, b: int, n: int) -> bool:
@@ -101,29 +87,8 @@ def rotate(mask: int, n: int, k: int) -> int:
     return (mask << k | mask >> (n - k)) & ((1 << n) - 1)
 
 
-def classify(diagonals: Iterable[Pair]) -> SupportClass:
-    """Support classification of a nonempty dissection."""
-    ds = tuple(diagonals)
-    if not ds:
-        raise ValueError("support classification is undefined for the empty dissection")
-    s = support(ds).bit_count()
-    if s == len(ds) + 1:
-        return SupportClass.PROPER
-    if s > len(ds) + 1:
-        return SupportClass.SUPERPROPER
-    return SupportClass.SUBPROPER
-
-
-def is_tree(diagonals: Iterable[Pair]) -> bool:
-    """True iff the diagonals form a connected acyclic graph on their support."""
-    ds = tuple(diagonals)
-    if not ds:
-        raise ValueError("is_tree is undefined for the empty dissection")
-    return _spans_tree(ds, support(ds))
-
-
 def _spans_tree(ds: tuple[Pair, ...], verts: int) -> bool:
-    """``is_tree`` for nonempty diagonals ``ds`` whose support is ``verts``."""
+    """Whether the nonempty diagonals ``ds``, whose support is ``verts``, form a tree on it."""
     if len(ds) != verts.bit_count() - 1:
         return False
     # Grow the vertices reached from the first diagonal: while they can
@@ -235,11 +200,3 @@ def slice_counts(n: int, d: int) -> tuple[dict[int, int], int]:
         if ds and _spans_tree(ds, verts):
             trees += 1
     return dict(sorted(by_support.items())), trees
-
-
-def count_by_class(n: int, d: int) -> dict[SupportClass, int]:
-    """Counts of d-diagonal dissections by support classification, d >= 1."""
-    out = {cls: 0 for cls in SupportClass}
-    for ds in iter_dissections(n, d):
-        out[classify(ds)] += 1
-    return out

@@ -22,17 +22,7 @@ from typing import Callable, NamedTuple
 
 from .associahedron import Face, LabeledComplex, build, restrict
 from .homology import Field, is_acyclic
-from .polygon import (
-    Diagonal,
-    all_diagonals,
-    crosses,
-    diagonal,
-    dissection,
-    iter_noncrossing,
-    rotate,
-    support,
-    vertices,
-)
+from .polygon import Diagonal, crosses, diagonal, rotate, vertices
 
 # 2^n restrictions each need a homology computation; larger n on request only.
 DEFAULT_MAX_N = 8
@@ -59,35 +49,6 @@ def cone_apex(n: int, sigma: int) -> Diagonal | None:
         # sigma is two cyclically adjacent vertices; the chord is a polygon edge
         return None
     return diagonal(t, (j + t - 2) % n + 1, n)
-
-
-def _is_maximal(face: frozenset[Diagonal], candidates: list[Diagonal]) -> bool:
-    return all(
-        d in face or any(crosses(d, e) for e in face) for d in candidates
-    )
-
-
-def cone_witness(n: int, sigma: int) -> Diagonal | None:
-    """cone_apex plus a literal check of the apex against every maximal face.
-
-    sigma is a vertex bitmask, as for cone_apex.  Maximal faces are
-    enumerated from scratch as maximal noncrossing subsets of the diagonals
-    supported inside sigma, independent of the complex builder.  Raises
-    RuntimeError if the apex claim fails (it never should).
-    """
-    apex = cone_apex(n, sigma)
-    candidates = [d for d in all_diagonals(n) if support([d]) & ~sigma == 0]
-    if apex is None:
-        if candidates:
-            raise RuntimeError(f"no apex yet restriction to {vertices(sigma)} is non-empty")
-        return None
-    if apex not in candidates:
-        raise RuntimeError(f"apex {apex} is not supported inside {vertices(sigma)}")
-    for chosen in iter_noncrossing(candidates):
-        face = frozenset(dissection(chosen, candidates))
-        if _is_maximal(face, candidates) and apex not in face:
-            raise RuntimeError(f"apex {apex} missing from maximal face {sorted(face)}")
-    return apex
 
 
 def minimality_witnesses(X: LabeledComplex) -> list[tuple[Face, Face]]:

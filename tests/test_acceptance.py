@@ -9,10 +9,10 @@ import random
 import time
 from itertools import combinations
 
-from cycleres.associahedron import boundary_complex, build, f_formula, restrict
+from cycleres.associahedron import build, f_formula, restrict
 from cycleres.betti import betti_closed_form, betti_table
 from cycleres.homology import Field, chain_complex
-from cycleres.morse import count_formulas, critical_cells, d2_matching, n7_extension_counts, validate
+from cycleres.morse import count_formulas, critical_cells, d2_matching, validate
 from cycleres.polygon import all_diagonals, crosses, diagonal, slice_counts
 from cycleres.resolution import minimality_witnesses, verify_supports_resolution
 from cycleres.tableaux import (
@@ -24,6 +24,7 @@ from cycleres.tableaux import (
     restricts_to_syzygy,
     syzygy_shape,
 )
+from oracles import boundary_complex, dense_boundary, n7_extension_counts
 
 BETTI_ROWS = {
     6: (1, 9, 16, 9, 1),
@@ -181,7 +182,7 @@ def test_criterion_10_catalan_refinements():
     _passed(10, "support splits 14=2+12, 42=14+28, 132=4+64+64")
 
 
-def _boundary_squares_to_zero(cc, field, dense_boundary) -> None:
+def _boundary_squares_to_zero(cc, field) -> None:
     for k in cc.bases:
         a = dense_boundary(cc, k, field)
         b = dense_boundary(cc, k + 1, field)
@@ -196,13 +197,13 @@ def _boundary_squares_to_zero(cc, field, dense_boundary) -> None:
                 assert total == 0
 
 
-def test_criterion_11_property_suites(dense_boundary):
+def test_criterion_11_property_suites():
     rng = random.Random(20260825)
 
     # boundary of boundary vanishes, checked by dense composition
     for n in range(4, 8):
         for field in (Field.GF2, Field.RATIONAL):
-            _boundary_squares_to_zero(chain_complex(build(n)), field, dense_boundary)
+            _boundary_squares_to_zero(chain_complex(build(n)), field)
 
     # a view, a restriction or the boundary sphere, is closed in its face
     # list's complex: the boundary of each kept cell lies in the kept cells,

@@ -1,5 +1,6 @@
 import pytest
 
+from cycleres import betti
 from cycleres.associahedron import f_formula
 from cycleres.betti import (
     BettiTable,
@@ -7,10 +8,10 @@ from cycleres.betti import (
     betti_closed_form,
     betti_recursion,
     betti_table,
-    check_hochster_with_homology,
     compare_methods,
     hochster_betti,
 )
+from oracles import check_betti_shape, check_hochster_with_homology
 
 ROWS = {
     6: (1, 9, 16, 9, 1),
@@ -42,7 +43,24 @@ def test_square_table():
 
 def test_almost_linear_positions():
     for n in range(4, 11):
-        betti_table(n, "hochster").validate()
+        check_betti_shape(betti_table(n, "hochster"))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({(1, 3): 1}, r"unexpected nonzero entry at \(d=1, j=3\)"),
+        ({(0, 0): 2}, r"beta_\{0,0\} must be 1"),
+        ({(4, 6): 0}, r"beta_\{n-2,n\} must be 1"),
+        ({(1, 2): 8}, r"betti row is not palindromic: \(1, 8, 16, 9, 1\)"),
+    ],
+    ids=["off-the-line", "first-end", "last-end", "not-palindromic"],
+)
+def test_each_shape_violation_is_named(change, message):
+    table = betti_table(6, "closed")
+    check_betti_shape(table)
+    with pytest.raises(AssertionError, match=message):
+        check_betti_shape(BettiTable(6, {**table.entries, **change}))
 
 
 def test_closed_form_values():
@@ -112,21 +130,14 @@ def test_hochster_against_generic_homology():
     check_hochster_with_homology(7, "gf2")
 
 
-def test_method_disagreement_reporting():
-    t = betti_table(6, "all")
-    wrong = BettiTable(6, {**t.entries, (2, 3): t.value(2, 3) + 1})
-    assert wrong != t
-    with pytest.raises(MethodDisagreement):
-        _raise_if_differs(t, wrong)
-
-
-def _raise_if_differs(a: BettiTable, b: BettiTable) -> None:
-    cells = {}
-    for key in set(a.entries) | set(b.entries):
-        if a.value(*key) != b.value(*key):
-            cells[key] = {"a": a.value(*key), "b": b.value(*key)}
-    if cells:
-        raise MethodDisagreement(a.n, cells)
+def test_method_disagreement_reporting(monkeypatch):
+    # a recursion off by one at d = 2 is named at its cell, with every method's value
+    recursion = betti.betti_recursion
+    monkeypatch.setattr(betti, "betti_recursion", lambda n, d: recursion(n, d) + (d == 2))
+    with pytest.raises(MethodDisagreement) as raised:
+        betti_table(6, "all")
+    assert raised.value.n == 6
+    assert raised.value.cells == {(2, 3): {"hochster": 16, "closed": 16, "recursion": 17}}
 
 
 def test_row_totals_and_json():

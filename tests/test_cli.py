@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from cycleres import cli
+from cycleres.betti import MethodDisagreement
 from cycleres.cli import main
 from cycleres.homology import Field
 from cycleres.resolution import ResolutionReport
+from cycleres.tableaux import Tableau
 
 
 def run(capsys, argv):
@@ -324,6 +326,51 @@ def test_involution_verify_rejects_a_wrong_fixed_set(capsys, monkeypatch):
         "σ² = id: FAILED\n"
         "problem: fixed tableaux do not restrict onto the (3,2,1) tableaux\n"
     )
+
+
+@pytest.mark.parametrize(
+    "image, problem",
+    [
+        # 12/34 goes to a tableau that the map fixes: not an involution
+        (Tableau([(1, 2, 3), (4, 5)]), "σ² moves 12/34"),
+        # 12/34 goes to a tableau two cells larger and back
+        (Tableau([(1, 2, 3), (4, 5, 6)]), "σ changes 12/34 by more than one cell"),
+    ],
+    ids=["not-an-involution", "two-cells"],
+)
+def test_involution_verify_names_each_problem(capsys, monkeypatch, image, problem):
+    # at n = 4 there is no syzygy check; 12/34 is the first (2,2) tableau
+    first = Tableau([(1, 2), (3, 4)])
+    back = {first: image, image: image if "σ²" in problem else first}
+    monkeypatch.setattr(cli, "involution", lambda t: back.get(t, t))
+    code, out, _ = run(capsys, ["involution", "4", "1", "--verify"])
+    assert code == 1
+    assert out == (
+        "family (4,1): 2 tableaux\n"
+        "fixed: 1, β^4_1: 2, MISMATCH\n"
+        "σ² = id: FAILED\n"
+        f"problem: {problem}\n"
+    )
+    code, data, _ = run_json(capsys, ["involution", "4", "1", "--verify", "--json"])
+    assert code == 1
+    assert (data["verified"], data["problems"]) == (False, [problem])
+
+
+@pytest.mark.parametrize(
+    "argv, name, error",
+    [
+        (["betti", "6"], "betti_table", MethodDisagreement(6, {(2, 3): {"closed": 16}})),
+        (["morse", "7", "--extend"], "greedy_extend", RuntimeError("no acyclic extension")),
+    ],
+    ids=["betti", "morse"],
+)
+def test_a_failed_internal_check_exits_one(capsys, monkeypatch, argv, name, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, name, fail)
+    for json_flag in ([], ["--json"]):
+        assert run(capsys, argv + json_flag) == (1, "", f"check failed: {error}\n")
 
 
 def test_involution_verify_at_n4_has_no_syzygy_check(capsys, monkeypatch):

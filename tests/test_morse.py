@@ -2,7 +2,7 @@ from collections import defaultdict
 
 import pytest
 
-from cycleres.associahedron import boundary_complex, build, restrict
+from cycleres.associahedron import build, restrict
 from cycleres.betti import betti_closed_form
 from cycleres.morse import (
     MorseMatching,
@@ -12,10 +12,9 @@ from cycleres.morse import (
     _find_cycle,
     _pair_successors,
     greedy_extend,
-    n7_extension_counts,
     validate,
 )
-from cycleres.polygon import SupportClass, count_by_class
+from oracles import SupportClass, boundary_complex, count_by_class, hasse_cycle
 
 
 def _pairs_by_diagonals(m, X):
@@ -58,8 +57,7 @@ def test_d2_matching_validates():
 def test_full_graph_oracle_agrees():
     for n in (6, 7):
         X = build(n)
-        report = validate(d2_matching(X), X, full_graph=True)
-        assert report.ok, report.problems
+        assert hasse_cycle(d2_matching(X), X) is None
 
 
 def test_empty_matching_is_valid():
@@ -94,7 +92,7 @@ def test_validate_reports_foreign_ids_as_non_covers():
         "pair (3,-1) is not a cover relation",
     )
     assert validate(m, X).problems == expected
-    assert validate(m, X, full_graph=True).problems == expected
+    assert hasse_cycle(m, X) is None
     # id -1 must not stand for the interior cell, whose row lists the triangulations
     t = X.kept[X.n - 4][0]
     assert validate(MorseMatching(((t, -1),)), X).problems == (
@@ -110,7 +108,7 @@ def test_validate_reports_a_pair_outside_a_view_as_non_cover():
     assert validate(m, X).ok
     expected = (f"pair ({outside[0]},{outside[1]}) is not a cover relation",)
     assert validate(m, R).problems == expected
-    assert validate(m, R, full_graph=True).problems == expected
+    assert hasse_cycle(m, R) is None
     # the interior cell covers every triangulation in A_n, but is no face of its boundary
     B, top = boundary_complex(X), len(X) - 1
     t = X.kept[X.n - 4][0]
@@ -128,9 +126,9 @@ def test_matching_on_a_view_uses_the_face_lists_ids(n):
         mR = d2_matching(R)
         # the matching's moves keep labels, so R keeps exactly the pairs whose upper face it keeps
         assert mR.pairs == tuple(p for p in m.pairs if p[1] in R), mask
-        assert validate(mR, R, full_graph=True).ok
+        assert validate(mR, R).ok and hasse_cycle(mR, R) is None
         counts = {d: len(R.kept.get(d, ())) for d in range(-1, R.dim + 1)}
-        for g in mR.matched_ids:
+        for g in {g for pair in mR.pairs for g in pair}:
             counts[X.faces[g].dim] -= 1
         assert critical_cells(mR, R) == counts
 
@@ -164,9 +162,7 @@ def test_validate_reports_each_repeated_face_once_in_id_order():
         "face 35 appears in 2 pairs",
     )
     assert validate(m, X).problems == expected
-    assert validate(m, X, full_graph=True).problems == (
-        *expected, "oriented Hasse cycle 1->14->32->10->1"
-    )
+    assert hasse_cycle(m, X) == [1, 14, 32, 10, 1]
 
 def test_validate_reports_a_face_repeated_through_a_non_cover_pair():
     X = build(6)
@@ -193,10 +189,10 @@ def test_validate_rejects_directed_cycle():
         (fid([(3, 5)]), fid([(1, 5), (3, 5)])),
         (fid([(1, 5)]), fid([(1, 3), (1, 5)])),
     ))
-    report = validate(bad, X, full_graph=True)
+    report = validate(bad, X)
     assert not report.ok
     assert any("directed cycle" in p for p in report.problems)
-    assert any("oriented Hasse cycle" in p for p in report.problems)
+    assert hasse_cycle(bad, X) is not None
 
 
 def test_critical_cells_hexagon():
@@ -243,18 +239,6 @@ def test_count_formulas_vs_enumeration():
         assert formulas["critical_edges"] == betti_closed_form(n, 2)
 
 
-def test_n7_extension_counts():
-    assert n7_extension_counts() == {
-        "superproper_d2": 14,
-        "subproper_d3": 7,
-        "superproper_d3": 14,
-        "subproper_d4": 14,
-        "edges_after": 35,
-        "two_faces_after": 35,
-        "three_faces_after": 14,
-    }
-
-
 def test_greedy_extend_hexagon_already_saturated():
     X = build(6)
     m = d2_matching(X)
@@ -274,8 +258,9 @@ def test_greedy_extend_reaches_betti_vector():
         m = d2_matching(X)
         extended = greedy_extend(m, X)
         assert set(m.pairs) <= set(extended.pairs)
-        report = validate(extended, X, full_graph=n <= 8)
+        report = validate(extended, X)
         assert report.ok, report.problems
+        assert n > 8 or hasse_cycle(extended, X) is None
         beta = [1] + [betti_closed_form(n, d) for d in range(1, n - 2)] + [1]
         assert list(critical_cells(extended, X).values()) == beta
 
@@ -449,7 +434,6 @@ def test_matching_keeps_the_first_of_equal_pairs():
 def test_matching_normalization_and_json():
     m = MorseMatching(((5, 9), (1, 3), (5, 9)))
     assert m.pairs == ((1, 3), (5, 9))
-    assert m.matched_ids == frozenset({1, 3, 5, 9})
     assert len(m) == 2
     assert m.to_json() == [[1, 3], [5, 9]]
 

@@ -9,15 +9,12 @@ from cycleres import polygon
 from cycleres.associahedron import build, f_formula
 from cycleres.polygon import (
     Diagonal,
-    SupportClass,
+    _spans_tree,
     all_diagonals,
-    classify,
-    count_by_class,
     crosses,
     diagonal,
     dissection,
     is_diagonal,
-    is_tree,
     iter_dissections,
     iter_noncrossing,
     rotate,
@@ -26,6 +23,7 @@ from cycleres.polygon import (
     support,
     vertices,
 )
+from oracles import SupportClass, classify, count_by_class
 
 
 def test_all_diagonals_hexagon():
@@ -124,27 +122,13 @@ def test_classify_examples():
 def test_classify_rejects_empty():
     with pytest.raises(ValueError):
         classify([])
-    with pytest.raises(ValueError):
-        is_tree([])
-
-
-def test_is_tree_examples():
-    assert is_tree([(1, 3)])
-    assert is_tree([(1, 3), (1, 4)])
-    assert not is_tree([(1, 3), (1, 5), (3, 5)])
-    assert not is_tree([(1, 3), (4, 6)])
-    # proper but disconnected with a cycle: triangle plus a far edge
-    assert not is_tree([(1, 3), (1, 5), (3, 5), (6, 8)])
-    assert classify([(1, 3), (1, 5), (3, 5), (6, 8)]) == SupportClass.PROPER
 
 
 def test_is_tree_matches_networkx():
     nx = pytest.importorskip("networkx")
     for n, d in [(6, 3), (7, 3), (8, 4)]:
         for ds in iter_dissections(n, d):
-            g = nx.Graph()
-            g.add_edges_from(ds)
-            assert is_tree(ds) == nx.is_tree(g)
+            assert _spans_tree(ds, support(ds)) == nx.is_tree(nx.Graph(ds)), ds
 
 
 def test_iter_noncrossing_yields_empty_first():
@@ -317,10 +301,12 @@ def test_count_trees_values():
 
 
 def test_proper_iff_tree_through_heptagon():
+    # d diagonals forming a tree touch d + 1 vertices, so every tree is
+    # proper: as many trees as proper dissections makes them the same ones
     for n in (5, 6, 7):
         for d in range(1, n - 2):
-            for ds in iter_dissections(n, d):
-                assert (classify(ds) == SupportClass.PROPER) == is_tree(ds)
+            by_support, trees = slice_counts(n, d)
+            assert trees == by_support.get(d + 1, 0), (n, d)
 
 
 def test_octagon_has_proper_non_trees():

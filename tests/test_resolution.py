@@ -1,22 +1,26 @@
 import concurrent.futures
+import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
 
 from cycleres import resolution
 from cycleres.associahedron import build, restrict
+from cycleres.cli import main
 from cycleres.homology import Field
 from cycleres.polygon import Diagonal, all_diagonals
 from cycleres.resolution import (
     ResolutionReport,
     cone_apex,
-    cone_witness,
     minimality_witnesses,
     verify_supports_resolution,
 )
+from oracles import cone_witness, maximal_faces
 
 
 def test_cone_witness_examples():
@@ -77,7 +81,7 @@ def test_cone_check_matches_maximal_faces(n, monkeypatch):
         if not 2 <= mask.bit_count() < n:
             continue
         R = restrict(X, mask)
-        maximal = R.maximal_faces()
+        maximal = maximal_faces(R)
         for apex in [cone_apex(n, mask), *all_diagonals(n)]:
             monkeypatch.setattr(resolution, "cone_apex", lambda n, sigma: apex)
             if R.is_empty:
@@ -106,6 +110,30 @@ def test_sweep_n6_rational():
     assert rep.ok
     assert rep.checked == 64
     assert rep.empty_restrictions == 13
+
+
+def test_sweep_reports_each_failing_sigma(capsys, monkeypatch):
+    # {1, 2, 3, 4} made to fail the homology check, {1, 4, 6} the cone
+    # check; only {1, 2, 3, 4}'s restriction has the support {1, 2, 3, 4}
+    acyclic, cone_agrees = resolution.is_acyclic, resolution._cone_agrees
+    homology, cone = 0b001111, 0b101001
+
+    def is_acyclic(R, field):
+        return reduce(or_, (R.labels[g] for g in R.ids())) != homology and acyclic(R, field)
+
+    monkeypatch.setattr(resolution, "is_acyclic", is_acyclic)
+    monkeypatch.setattr(
+        resolution, "_cone_agrees", lambda n, sigma, R: sigma != cone and cone_agrees(n, sigma, R)
+    )
+    report = verify_supports_resolution(6)
+    assert (report.failures, report.cone_mismatches, report.ok) == ((homology,), (cone,), False)
+    assert main(["verify-resolution", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "checked: 64 restrictions (13 empty, 50 acyclic)\n" in out
+    assert "failures: [1, 2, 3, 4]\ncone mismatches: [1, 4, 6]\n" in out
+    assert main(["verify-resolution", "6", "--json"]) == 1
+    js = json.loads(capsys.readouterr().out)
+    assert (js["failures"], js["cone_mismatches"], js["ok"]) == ([[1, 2, 3, 4]], [[1, 4, 6]], False)
 
 
 def test_sweep_accepts_field_names():
