@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
+from operator import add
 from typing import NamedTuple
 
 from .polygon import rotate
@@ -92,10 +93,22 @@ def betti_closed_form(n: int, d: int) -> int:
 
 
 @cache
-def _recursion(n: int, d: int) -> int:
-    if d == 1 or d == n - 3:
-        return comb(n, 2) - n
-    return _recursion(n - 1, d - 1) + _recursion(n - 1, d) + comb(n - 2, d)
+def _recursion_row(n: int) -> list[int]:
+    """beta(n, d) for d = 1..n - 3 by the recursion, bottom-up from n = 4.
+
+    One row per n: the ends d = 1 and d = n - 3 are C(n, 2) - n, and
+    every other entry adds two of the previous row's to C(n - 2, d), read
+    from the binomial row of n - 2, which Pascal's rule updates.  Kept per
+    n, so a table reads its row once, not once per d.
+    """
+    row: list[int] = []
+    binomials = [1, 2, 1]  # C(2, 0..2), for n = 4
+    for m in range(4, n + 1):
+        middle = [row[d - 2] + row[d - 1] + binomials[d] for d in range(2, m - 3)]
+        end = comb(m, 2) - m
+        row = [end, *middle, end][: m - 3]  # at n = 4 the two ends are one
+        binomials = [1, *map(add, binomials, binomials[1:]), 1]
+    return row
 
 
 def betti_recursion(n: int, d: int) -> int:
@@ -106,7 +119,7 @@ def betti_recursion(n: int, d: int) -> int:
     """
     if n < 4 or not 1 <= d <= n - 3:
         raise ValueError(f"need n >= 4 and 1 <= d <= n - 3, got n={n}, d={d}")
-    return _recursion(n, d)
+    return _recursion_row(n)[d - 1]
 
 
 def _table_from_function(n: int, fn) -> BettiTable:

@@ -9,23 +9,24 @@ A chain complex is a facet table, one integer object per face list.  A
 face is its id, its position in the face list, and that id is its row:
 row g lists the ids of the cells that cell g covers, in strictly
 descending order, and its i-th entry has coefficient (-1)^i unless the
-cell has explicit ±1 signs (in A_n only the interior cell has).  For
-A_n the table is ``covers_below()`` itself, not a copy.  The row order
-and dd = 0 are checked once, over the integers, a run of rows of one
-length at a time: a row that does not descend, or that holds an id
-outside the table or a cell not one dimension below its own, raises
-ValueError; a run of unsigned rows whose terms cancel in pairs by id
-passes with one slice comparison per pair of positions, and every other
-row is summed.  Each rank reads the table's rows in place, keyed by
-their lead, the largest id, which is their first.  A row whose lead
-starts no pivot becomes that pivot as it stands.  Only a row that meets
-a pivot is copied, into an id set for GF(2) or an ``{id: ±1}`` dict for
-the rationals, and reduced; a pivot is copied when a reduction first
-reads it (the "emergent pairs" of Bauer, "Ripser", 2021).  A view (a
-restriction) ranks its face list's rows at its kept ids, gathered in
-one pass that also skips the cleared ids.  Betti
-numbers rank from the top dimension down with clearing (Chen & Kerber,
-"Persistent homology computation with a twist", 2011).
+cell has explicit ±1 signs (in A_n only the interior cell has).  Each
+dimension's cells are a range of ids, and the ranges tile the table in
+order of dimension: the face list's dimension blocks.  For A_n the table
+is ``covers_below()`` itself, not a copy.  The row order, the rows'
+dimensions and dd = 0 are checked once, over the integers, a chunk of
+rows of one length at a time, each by one check that reruns row by row
+only to name a failing row; a chunk of unsigned rows whose terms cancel
+in pairs by id passes with one slice comparison per pair of positions,
+and every row of any other chunk is summed.  Each rank reads the
+table's rows in place, keyed by their lead, the largest id, which is
+their first.  A row whose lead starts no pivot becomes that pivot as it
+stands.  Only a row that meets a pivot is copied, into an id set for
+GF(2) or an ``{id: ±1}`` dict for the rationals, and reduced; a pivot
+is copied when a reduction first reads it (the "emergent pairs" of
+Bauer, "Ripser", 2021).  A view (a restriction) ranks its face list's
+rows at its kept ids, gathered in one pass that also skips the cleared
+ids.  Betti numbers rank from the top dimension down with clearing
+(Chen & Kerber, "Persistent homology computation with a twist", 2011).
 """
 
 from __future__ import annotations
@@ -148,12 +149,13 @@ def rank_int(
 class ChainComplex:
     """Augmented integer chain complex stored as a facet table.
 
-    A cell is its id, its row in ``table``.  ``bases[k]`` lists the ids
-    of the cells in dimension k; together the bases must hold every id
-    0..len(table) - 1 exactly once (ValueError otherwise).  ``table[g]``
-    lists the ids of the cells in cell g's boundary in strictly
-    descending order, each the id of a cell one dimension below g
-    (ValueError otherwise); its i-th entry has coefficient (-1)^i, or
+    A cell is its id, its row in ``table``.  ``bases[k]`` is the range of
+    ids of the cells in dimension k: the bases are ranges of step 1,
+    keyed -1, 0, …, top with no gap, that tile 0..len(table) - 1 in that
+    order (ValueError otherwise), as a face list's dimension blocks do.
+    ``table[g]`` lists the ids of the cells in cell g's boundary in
+    strictly descending order, each the id of a cell one dimension below
+    g (ValueError otherwise); its i-th entry has coefficient (-1)^i, or
     ``signs[g][i]`` when g has explicit signs, which must be keyed by an
     id of the table and be ±1, one per entry (ValueError otherwise).  The
     identity boundary-of-boundary = 0 is verified once, over the
@@ -164,14 +166,14 @@ class ChainComplex:
 
     def __init__(
         self,
-        bases: dict[int, Sequence[int]],
+        bases: dict[int, range],
         table: Sequence[Sequence[int]],
         signs: dict[int, Sequence[int]] | None = None,
     ) -> None:
         self.bases = bases
         self.table = table
         self.signs = signs or {}
-        blocks = _id_blocks(bases, len(table))
+        _check_bases(bases, len(table))
         for g, s in self.signs.items():
             if g not in range(len(table)):
                 raise ValueError(f"signs are keyed by {g!r}, not an id 0..{len(table) - 1}")
@@ -179,9 +181,7 @@ class ChainComplex:
                 raise ValueError(f"cell {g} needs one sign ±1 per entry of {list(table[g])}")
         # covers every row, so zip never cuts one short
         self._alternating = (1, -1) * ((max(map(len, table), default=0) + 1) // 2)
-        self._verify_dd_zero(blocks)
-        # the dimensions that hold a signed cell: only their ranks look signs up
-        self._signed = {k for k, ids in bases.items() if not self.signs.keys().isdisjoint(ids)}
+        self._verify_dd_zero()
 
     def reduced_betti(
         self, field: Field | str, kept: dict[int, Sequence[int]] | None = None
@@ -198,80 +198,68 @@ class ChainComplex:
         ranks = [0] * (max(cells) + 2)
         cleared: Collection[int] = ()
         for k in range(max(cells), -1, -1):
-            cleared = self._pivots(k, cells[k], field, cleared)
+            cleared = self._pivots(cells[k], field, cleared)
             ranks[k] = len(cleared)
         return [len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
 
     def _pivots(
-        self, k: int, ids: Iterable[int], field: Field | str, cleared: Collection[int]
+        self, ids: Iterable[int], field: Field | str, cleared: Collection[int]
     ) -> KeysView[int]:
-        """Pivot ids over field of the boundaries of the k-cells ids not in cleared.
+        """Pivot ids over field of the boundaries of the cells ids not in cleared.
 
         The table's rows are ranked in place, gathered from the ids in
-        one pass.  Over the rationals, a dimension k without a signed
-        cell passes the alternating signs for every row and looks up no
-        sign.
+        one pass.  Over the rationals each row's coefficients are its
+        cell's signs, or the alternating signs when it has none.
         """
         table = self.table
         if Field.coerce(field) is Field.GF2:
             # every coefficient is ±1, so odd
             return rank_gf2([table[g] for g in ids if g not in cleared])
-        alternating = self._alternating
-        if k not in self._signed:
-            return rank_int([table[g] for g in ids if g not in cleared], repeat(alternating))
         ids = [g for g in ids if g not in cleared]
-        signs = self.signs
-        return rank_int([table[g] for g in ids], [signs.get(g, alternating) for g in ids])
+        coefficients = map(self.signs.get, ids, repeat(self._alternating))
+        return rank_int([table[g] for g in ids], coefficients)
 
-    def _verify_dd_zero(self, blocks: dict[int, range] | None) -> None:
+    def _verify_dd_zero(self) -> None:
         """Check the rows' shape and raise RuntimeError at the first cell whose dd is nonzero.
 
-        ``blocks`` are the bases as id ranges, None when they are not
-        consecutive (``_id_blocks``).  The table is read in chunks of
-        consecutive rows of one length (``_chunks``), in table order.  A
-        chunk raises ValueError before its dd is read when a row of it
-        does not strictly descend (``_descending``), naming its first
-        such row, or else when a row holds an id outside the table or a
-        cell not one dimension below its own, naming its first such row.
-        That is read a chunk at a time by ``_one_dimension_down`` when
-        there are blocks, and row by row when there are none or the chunk
-        does not pass.  A chunk passes dd = 0 at once when
-        ``_run_pairs_up`` holds on it: no row or entry of it is signed,
-        and the terms of dd on each of its rows cancel in pairs by id.
-        Every other chunk is read row by row, each row as a chunk of one:
-        a row that passes ``_run_pairs_up`` passes as it stands; any other
-        is summed over the integers by ``_boundary_of_boundary``.  That
-        loop is the only one that raises RuntimeError.
+        The table is read in order, in chunks of consecutive rows of one
+        length (``_chunks``).  Each row property has one check, run on the
+        whole chunk: strict descent (``_descending``), then cells one
+        dimension down (``_one_dimension_down``), each raising ValueError.
+        A chunk that fails one is checked again row by row, a row being a
+        chunk of one, and raises at its first failing row; a chunk whose
+        rows span two dimensions fails as a whole while its rows may pass.
+        A chunk passes dd = 0 at once when ``_run_pairs_up`` holds on it;
+        every row of any other chunk is summed over the integers by
+        ``_boundary_of_boundary``, the one loop that raises RuntimeError.
         """
-        table, signs = self.table, self.signs
-        dims = None
+        table, signs, bases = self.table, self.signs, self.bases
         for start, k, rows in _chunks(table):
             entries = list(chain.from_iterable(rows))
             if not _descending(entries, k):
                 g = next(g for g, row in enumerate(rows, start) if not _descending(row, k))
                 raise ValueError(f"cell {g}'s row {list(table[g])} does not strictly descend")
-            if k and not (blocks and _one_dimension_down(blocks, start, len(rows), k, entries)):
-                if dims is None:
-                    dims = _dimensions(self.bases, len(table))
+            if k and not _one_dimension_down(bases, start, len(rows), k, entries):
                 for g, row in enumerate(rows, start):
-                    # the row descends: its first id is its largest
-                    if row[-1] < 0 or row[0] >= len(table):
-                        raise ValueError(
-                            f"cell {g}'s row {list(row)} holds an id outside 0..{len(table) - 1}"
-                        )
-                    below = dims[g] - 1
-                    for lo in row:
-                        if dims[lo] != below:
-                            raise ValueError(
-                                f"cell {g}'s row {list(row)} holds {lo}, a cell of dimension"
-                                f" {dims[lo]}, not {below}"
-                            )
+                    if not _one_dimension_down(bases, g, 1, k, row):
+                        raise self._dimension_error(g)
             if not _run_pairs_up(table, signs, start, len(rows), k, entries):
-                for g, row in enumerate(rows, start):
-                    if not _run_pairs_up(table, signs, g, 1, k, list(row)) and any(
-                        self._boundary_of_boundary(g).values()
-                    ):
+                for g in range(start, start + len(rows)):
+                    if any(self._boundary_of_boundary(g).values()):
                         raise RuntimeError(f"boundary of boundary of cell {g} is nonzero")
+
+    def _dimension_error(self, g: int) -> ValueError:
+        """The error for cell g, whose row holds an id outside the table or a wrong dimension."""
+        row, size = self.table[g], len(self.table)
+        # the row descends: its first id is its largest
+        if row[-1] < 0 or row[0] >= size:
+            return ValueError(f"cell {g}'s row {list(row)} holds an id outside 0..{size - 1}")
+        below = _dimension(self.bases, g) - 1
+        lo = next(lo for lo in row if _dimension(self.bases, lo) != below)
+        return ValueError(
+            f"cell {g}'s row {list(row)} holds {lo}, a cell of dimension"
+            f" {_dimension(self.bases, lo)}, not {below}"
+        )
 
     def _boundary_of_boundary(self, g: int) -> dict[int, int]:
         """The boundary of the boundary of cell g over the integers, as ``{id: coefficient}``."""
@@ -281,6 +269,25 @@ class ChainComplex:
             for lo2, c2 in zip(table[lo], signs.get(lo, alternating)):
                 acc[lo2] = acc.get(lo2, 0) + c * c2
         return acc
+
+
+def _check_bases(bases: dict[int, range], size: int) -> None:
+    """Raise ValueError unless the bases are ranges of step 1 keyed -1, 0, … tiling 0..size - 1."""
+    message = f"the bases must hold each id 0..{size - 1} exactly once"
+    stop = 0
+    for d, (k, ids) in enumerate(bases.items(), -1):
+        if k != d or not isinstance(ids, range) or ids.step != 1:
+            raise ValueError("the bases must be ranges of step 1 keyed -1, 0, 1, … in order")
+        if ids.start != stop:
+            raise ValueError(message)
+        stop += len(ids)
+    if stop != size:
+        raise ValueError(message)
+
+
+def _dimension(bases: dict[int, range], g: int) -> int:
+    """The dimension of cell g, which must be an id of the bases."""
+    return next(d for d, ids in bases.items() if g in ids)
 
 
 def _chunks(table: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, list[Sequence[int]]]]:
@@ -306,24 +313,22 @@ def _run_pairs_up(
 ) -> bool:
     """Whether dd = 0 on count rows of k entries, with ids from start up, follows from ids alone.
 
-    ``entries`` are the rows' entries, concatenated.  It does when no row
-    and no entry is signed, every entry indexes the table from 0 up, each
-    entry's row has k - 1 entries, and ``table[row[j]][i] ==
-    table[row[i]][j - 1]`` for every row and every i < j: the pair's
-    signs are (-1)^(i + j) and (-1)^(i + j - 1), so it cancels.  A
-    simplicial face's row, which drops its i-th vertex or diagonal at
-    index i, pairs up.  With ``flat`` the concatenation of the rows the
-    entries index, row r's j-th entry's i-th entry sits at
-    r·w + j·(k - 1) + i, with w = k·(k - 1); so one slice of stride w
-    reads one term of a pair on every row at once.  True for k = 0.
+    ``entries`` are the rows' entries, concatenated, each an id of the
+    table.  It does when no row and no entry is signed, each entry's row
+    has k - 1 entries, and ``table[row[j]][i] == table[row[i]][j - 1]``
+    for every row and every i < j: the pair's signs are (-1)^(i + j) and
+    (-1)^(i + j - 1), so it cancels.  A simplicial face's row, which
+    drops its i-th vertex or diagonal at index i, pairs up.  With
+    ``flat`` the concatenation of the rows the entries index, row r's
+    j-th entry's i-th entry sits at r·w + j·(k - 1) + i, with
+    w = k·(k - 1); so one slice of stride w reads one term of a pair on
+    every row at once.  True for k = 0.
     """
     if not k:
         return True
     if any(start <= s < start + count for s in signs):
         return False
     lo, hi = min(entries), max(entries)
-    if lo < 0 or hi >= len(table):
-        return False
     if any(lo <= s <= hi for s in signs) and not signs.keys().isdisjoint(entries):
         return False
     lower = itemgetter(*entries)(table) if len(entries) > 1 else (table[entries[0]],)
@@ -338,54 +343,21 @@ def _run_pairs_up(
     )
 
 
-def _id_blocks(bases: dict[int, Sequence[int]], size: int) -> dict[int, range] | None:
-    """Each dimension's ids as a range, or None when some dimension's ids are not consecutive.
-
-    Raises ValueError unless the bases hold each id 0..size - 1 exactly
-    once.  Consecutive ids need no sort for that: they hold each id once
-    when their ranges, in order, tile 0..size - 1.
-    """
-    blocks: dict[int, range] | None = {}
-    for k, ids in bases.items():
-        block = range(ids[0], ids[0] + len(ids)) if len(ids) else range(0)
-        # a range is compared with a range as it stands, anything else as a list
-        if ids != block and list(ids) != list(block):
-            blocks = None
-            break
-        blocks[k] = block
-    if blocks is not None:
-        tiles = sorted((b.start, b.stop) for b in blocks.values() if b)
-        stops = [0, *(b for _, b in tiles)]
-        if [a for a, _ in tiles] == stops[:-1] and stops[-1] == size:
-            return blocks
-    if sorted(chain.from_iterable(bases.values())) != list(range(size)):
-        raise ValueError(f"the bases must hold each id 0..{size - 1} exactly once")
-    return None
-
-
-def _dimensions(bases: dict[int, Iterable[int]], size: int) -> list[int]:
-    """Each cell's dimension, by id, for bases that hold each id 0..size - 1 once."""
-    dims = [0] * size
-    for k, ids in bases.items():
-        any(map(dims.__setitem__, ids, repeat(k)))  # the stores run in C
-    return dims
-
-
 def _one_dimension_down(
-    blocks: dict[int, range], start: int, count: int, k: int, entries: list[int]
+    bases: dict[int, range], start: int, count: int, k: int, entries: Sequence[int]
 ) -> bool:
     """Whether count rows of k > 0 entries, with ids from start up, hold cells one dimension down.
 
-    ``blocks`` are the bases as id ranges, ``entries`` the rows'
-    entries, concatenated.  True when the rows' cells lie in one block,
-    of dimension d, and every entry in the block of dimension d - 1.
-    The rows descend, so their first entries hold the largest ids and
-    their last the least: two strided slices bound every entry.
+    ``entries`` are the rows' entries, concatenated.  True when the rows'
+    cells lie in one block of the bases, of dimension d, and every entry
+    in the block of dimension d - 1.  The rows descend, so their first
+    entries hold the largest ids and their last the least: two strided
+    slices bound every entry.
     """
-    d = next(d for d, block in blocks.items() if start in block)
-    below = blocks.get(d - 1, range(0))
+    d = _dimension(bases, start)
+    below = bases.get(d - 1, range(0))
     return (
-        start + count <= blocks[d].stop
+        start + count <= bases[d].stop
         and below.start <= min(entries[k - 1 :: k])
         and max(entries[::k]) < below.stop
     )

@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SWEEP = "test_resolution.py::test_sweep_reports_each_failing_sigma"
 EXIT = "test_cli.py::test_a_failed_internal_check_exits_one"
 VERIFY = "test_cli.py::test_involution_verify_names_each_problem"
+BASES = "test_homology.py::test_bases_must_hold_each_id_once"
 MUTANTS = [
     ("resolution.py", "failures.append(mask)", "pass", [SWEEP]),
     ("resolution.py", "mismatches.append(mask)", "pass", [SWEEP]),
@@ -46,6 +47,38 @@ MUTANTS = [
      ["test_homology.py::test_boundary_squared_zero_is_checked"]),
     ("morse.py", "if labels[lo] != labels[hi]:", "if False:",
      ["test_morse.py::test_validate_rejects_unequal_labels"]),
+    # bases of any shape let through
+    ("homology.py", "_check_bases(bases, len(table))", "None",
+     [f"{BASES}[skipped]", f"{BASES}[list]", f"{BASES}[range-dimension-gap]"]),
+    ("homology.py", "or ids.step != 1", "", [f"{BASES}[step-2]"]),
+    # a chunk that fails the dimension check raises at its first row
+    ("homology.py", "if not _one_dimension_down(bases, g, 1, k, row):", "if True:",
+     ["test_homology.py::test_a_one_entry_row_over_a_nonempty_row_is_not_passed",
+      "test_homology.py::test_a_row_of_the_wrong_dimension_is_named_past_the_first_chunk"]),
+    ("homology.py",
+     "return all(all(map(gt, entries[i::k], entries[i + 1 :: k])) for i in range(k - 1))",
+     "return True", ["test_homology.py::test_a_row_out_of_order_is_rejected"]),
+    # no signed-id check, no signed-entry check, no length check on the lower rows
+    ("homology.py", "if any(start <= s < start + count for s in signs):\n        return False",
+     "pass", ["test_homology.py::test_boundary_squared_zero_is_checked",
+              "test_homology.py::test_a_signed_cell_inside_a_run_is_summed_row_by_row"]),
+    ("homology.py",
+     "if any(lo <= s <= hi for s in signs) and not signs.keys().isdisjoint(entries):\n"
+     "        return False",
+     "pass", ["test_homology.py::test_boundary_squared_zero_is_checked"]),
+    ("homology.py", "if {*map(len, lower)} != {k - 1}:\n        return False", "pass",
+     ["test_homology.py::test_a_one_entry_row_over_a_nonempty_row_is_not_passed"]),
+    ("homology.py", "(1, -1) * ((max(map(len, table), default=0) + 1) // 2)", "(1, -1) * 64",
+     ["test_homology.py::test_default_signs_cover_any_row_length"]),
+    # a restriction cut into dimension blocks at their starts, not their ends
+    ("associahedron.py", "end = bisect_left(found, block.stop, start)",
+     "end = bisect_left(found, block.start, start)",
+     ["test_associahedron.py::test_restrict_path_example",
+      "test_associahedron.py::test_restriction_of_a_restriction"]),
+    # the recursion's upper end one dimension early
+    ("betti.py", "for d in range(2, m - 3)]", "for d in range(2, m - 4)]",
+     ["test_betti.py::test_recursion_values",
+      "test_cli.py::test_betti_recursion_needs_no_call_stack_as_deep_as_n"]),
 ]
 
 

@@ -7,6 +7,7 @@ readers at the end give tests views and lists the package never needs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import combinations
 from math import gcd
@@ -135,9 +136,12 @@ def simplicial_reduced_betti(facets: Iterable[Iterable], field: Field | str) -> 
     cells = sorted(closure, key=lambda c: (len(c), c))
     ids = {cell: g for g, cell in enumerate(cells)}
     table = [[ids[cell[:i] + cell[i + 1 :]] for i in range(len(cell))] for cell in cells]
-    bases: dict[int, list[int]] = {}
-    for g, cell in enumerate(cells):
-        bases.setdefault(len(cell) - 1, []).append(g)
+    sizes = [len(cell) for cell in cells]
+    # cells of one size are consecutive, and every size up to the largest occurs
+    bases = {
+        size - 1: range(bisect_left(sizes, size), bisect_right(sizes, size))
+        for size in range(sizes[-1] + 1)
+    }
     return ChainComplex(bases, table).reduced_betti(field)
 
 

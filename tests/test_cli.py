@@ -85,6 +85,14 @@ def test_betti_single_method(capsys):
     assert out == "β^9_d: 1 27 105 189 189 105 27 1\nmethod: recursion\n"
 
 
+def test_betti_recursion_needs_no_call_stack_as_deep_as_n(capsys):
+    # far past n = 500, where one call per n would exceed Python's frame limit
+    code, out, _ = run(capsys, ["betti", "600", "--method", "recursion"])
+    _, closed, _ = run(capsys, ["betti", "600", "--method", "closed"])
+    assert code == 0
+    assert out.splitlines() == [closed.splitlines()[0], "method: recursion"]
+
+
 def test_betti_json(capsys):
     code, data, _ = run_json(capsys, ["betti", "8", "--json"])
     assert code == 0
